@@ -196,8 +196,8 @@ def solve(
 
     ``kernel`` names the propagation engine every OPP decision runs on —
     any name from :func:`repro.core.available_kernels` (``"bitmask"``,
-    ``"vector"`` when NumPy is installed, ``"reference"``, plus
-    third-party registrations); ``learning`` switches conflict learning
+    ``"reference"``, plus third-party registrations) or the alias
+    ``"vector"`` (runs ``"bitmask"``); ``learning`` switches conflict learning
     (``True``/``False`` or a :class:`~repro.core.nogoods.LearningOptions`).
     Both are shorthand that overrides the corresponding field of
     ``options`` — with ``workers > 1`` the override applies to every

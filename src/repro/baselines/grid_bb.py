@@ -16,9 +16,8 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from ..core.boxes import PackingInstance, Placement
+from ..heuristics.grid import OccupancyGrid
 
 Coordinate = Tuple[int, ...]
 
@@ -79,14 +78,8 @@ def solve_opp_grid(
         anchors.append(box_anchors)
     stats.variables = sum(len(a) for a in anchors)
 
-    occupancy = np.zeros(tuple(reversed(sizes)), dtype=bool)
+    grid = OccupancyGrid(instance.container)
     positions: List[Optional[Coordinate]] = [None] * n
-
-    def region(pos: Coordinate, widths: Tuple[int, ...]):
-        slices = tuple(
-            slice(pos[a], pos[a] + widths[a]) for a in reversed(range(d))
-        )
-        return occupancy[slices]
 
     def dfs(depth: int) -> bool:
         stats.nodes += 1
@@ -111,14 +104,13 @@ def solve_opp_grid(
         for pos in anchors[v]:
             if pos[time_axis] < floor:
                 continue
-            cells = region(pos, widths)
-            if cells.any():
+            if not grid.fits(pos, widths):
                 continue
-            cells[...] = True
+            grid.place(pos, widths)
             positions[v] = pos
             if dfs(depth + 1):
                 return True
-            region(pos, widths)[...] = False
+            grid.remove(pos, widths)
             positions[v] = None
         return False
 

@@ -30,7 +30,11 @@ from typing import List, Optional
 
 from .core.bmp import minimize_base
 from .core.deadline import DEADLINE_LIMIT, Deadline, DeadlineError
-from .core.kernels import available as available_kernels
+from .core.kernels import (
+    UnknownKernelError,
+    available as available_kernels,
+    resolve as resolve_kernel,
+)
 from .core.nogoods import LearningOptions
 from .core.opp import SolverOptions, solve_opp
 from .fpga import explore_tradeoffs, minimize_latency, place, square_chip
@@ -788,7 +792,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise _InputError(str(exc)) from exc
 
 
+def _kernel_arg(name: str) -> str:
+    """``--kernel`` values: a registered kernel name or alias, resolved."""
+    try:
+        return resolve_kernel(name)
+    except UnknownKernelError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    kernel_names = "{" + ",".join(available_kernels()) + "}"
     parser = argparse.ArgumentParser(
         prog="repro-fpga",
         description=(
@@ -833,7 +846,8 @@ def build_parser() -> argparse.ArgumentParser:
         "when it expires the answer degrades explicitly (exit 6)",
     )
     solve.add_argument(
-        "--kernel", choices=available_kernels(), default="bitmask",
+        "--kernel", type=_kernel_arg, metavar=kernel_names,
+        default="bitmask",
         help="search kernel from the registry (default: bitmask; see "
         "docs/performance.md)",
     )
@@ -867,7 +881,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="per-OPP seconds before giving up",
         )
         cmd.add_argument(
-            "--kernel", choices=available_kernels(), default="bitmask",
+            "--kernel", type=_kernel_arg, metavar=kernel_names,
+            default="bitmask",
             help="search kernel from the registry (default: bitmask; see "
             "docs/performance.md)",
         )
@@ -969,7 +984,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="race the solver portfolio on N workers per instance",
     )
     batch.add_argument(
-        "--kernel", choices=available_kernels(), default="bitmask",
+        "--kernel", type=_kernel_arg, metavar=kernel_names,
+        default="bitmask",
         help="search kernel for the solves",
     )
     batch.add_argument(
@@ -1063,7 +1079,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-subtree seconds before a worker gives up",
     )
     dsolve.add_argument(
-        "--kernel", choices=available_kernels(), default="bitmask",
+        "--kernel", type=_kernel_arg, metavar=kernel_names,
+        default="bitmask",
         help="search kernel for the workers",
     )
     dsolve.add_argument(

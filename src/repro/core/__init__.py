@@ -182,7 +182,7 @@ __all__ = [
 
 def __getattr__(name: str):
     # ``KERNELS`` reflects the live registry so it extends automatically
-    # when kernels register or their requirements become available.
+    # when kernels register.
     if name == "KERNELS":
         return available_kernels()
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,15 +18,21 @@ paper's propagation rules then become mask algebra:
   the pivots of a path implication are exactly
   ``_cmpb[u] & _cmpb[v]``, and the subset that is already oriented toward
   the pair is ``(pivots & (_pred[u] | _pred[v]))`` — one AND/OR replaces a
-  Python loop over all boxes.
+  Python loop over all boxes.  Every target mask is pre-masked with the
+  arcs already oriented the forced way: forcing such an arc is a complete
+  no-op (no counter, trail or queue entry), so dropping it up front
+  changes nothing but the number of Python calls.
 * **C4 chordality filter** — the candidate ``x`` / ``y`` roles of each
   forbidden 4-cycle pattern are mask intersections of component /
   comparability / undecided neighborhoods; conflicts and one-edge-short
   forcings fall out of non-empty intersections.
-* **C5 odd-cycle obstruction** — candidate vertices must be decided
-  against both endpoints (one AND); a completed obstruction is five
-  vertices of comparability degree exactly 2 within the group
-  (popcounts).
+* **C5 odd-cycle obstruction by degree partition** — candidate vertices
+  must be decided against both endpoints (one AND).  In a completed
+  obstruction every vertex has comparability degree exactly 2, which pins
+  each remaining cycle vertex to one of the masks ``cmpb[u]``-only,
+  ``cmpb[v]``-only, both or neither; detection is a two-level loop over
+  those (usually tiny) masks instead of an enumeration of all decided
+  triples.
 * **C2 / Helly area rules (incremental bounds)** — per-vertex neighbor
   weight sums (comparability-neighbor widths for the strip rule,
   component-neighbor cross-sections for the volume rule) are maintained
@@ -34,7 +40,15 @@ paper's propagation rules then become mask algebra:
   edge can never outweigh ``w_u + w_v + min(S_u − w_v, S_v − w_u)``, so
   most checks are answered by two additions instead of a clique search;
   the exact bitset clique search runs only when the cheap bound cannot
-  exclude an overflow.
+  exclude an overflow, and sums candidate weights one *byte* at a time
+  through per-axis 256-entry lookup tables.
+* **Flat pair state for nogood matching** — every ``(axis, pair)`` maps
+  to one bit of a flat integer pair (component bits / comparability
+  bits), so the search matches learned nogoods with a handful of integer
+  operations each.  The flat state is maintained only once a consumer
+  asks for it (:meth:`BitmaskEdgeStateModel.packed_pair_state` rebinds
+  the ``_set_state`` / ``rollback`` hot paths to tracking variants), so
+  searches without learning pay nothing.
 
 The kernel is *semantically identical* to the reference: the rule set is
 monotone, every rule instance is re-examined whenever one of its premises
@@ -49,7 +63,7 @@ around as the testing oracle (``kernel="reference"``).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..graphs.graph import Graph
 from .boxes import PackingInstance
@@ -70,30 +84,19 @@ except AttributeError:  # pragma: no cover - exercised on 3.9 CI only
         return bin(x).count("1")
 
 
-def make_model(
-    instance: PackingInstance,
-    options: Optional[PropagationOptions] = None,
-    kernel: str = "bitmask",
-) -> EdgeStateModel:
-    """Instantiate the requested search kernel for one instance.
+def _weight_luts(weights: List[int]) -> List[List[int]]:
+    """Per-byte weight tables: ``lut[j][b]`` sums the byte-``j`` bits of ``b``.
 
-    Delegates to :func:`repro.core.kernels.make_model`; kept here because
-    this module historically was the kernel dispatch point.
+    Built by doubling: adding bit ``k`` appends a shifted copy of the
+    table, so entry ``b`` holds the weights of exactly the bits of ``b``.
     """
-    from .kernels import make_model as _make_model
-
-    return _make_model(instance, options, kernel)
-
-
-def __getattr__(name: str):
-    # ``KERNELS`` used to be a hardcoded tuple here; it now reflects the
-    # registry (``repro.core.kernels.available()``) so parametrized tests
-    # and benches pick up newly registered kernels automatically.
-    if name == "KERNELS":
-        from .kernels import available
-
-        return available()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    luts = []
+    for j in range(0, len(weights), 8):
+        table = [0]
+        for w in weights[j : j + 8]:
+            table += [x + w for x in table]
+        luts.append(table)
+    return luts
 
 
 class BitmaskEdgeStateModel(EdgeStateModel):
@@ -125,6 +128,18 @@ class BitmaskEdgeStateModel(EdgeStateModel):
         # Incrementally maintained neighbor weight sums (see module doc).
         self._ksum = [[0] * n for _ in range(d)]
         self._csum = [[0] * n for _ in range(d)]
+        # Byte LUTs are built per axis on the first exact clique search —
+        # small solves that never leave the slack fast-path skip the cost.
+        self._wlut: List[Optional[List[List[int]]]] = [None] * d
+        self._clut: List[Optional[List[List[int]]]] = [None] * d
+        # Flat pair-state tracking is armed lazily by packed_pair_state():
+        # searches that never consult it (learning off) keep the untracked
+        # hot path.
+        self._track_pairs = False
+        self._flat_comp = 0
+        self._flat_cmpb = 0
+        self._pair_bit: Optional[List[List[List[int]]]] = None
+        self._pair_of_bit: Optional[Dict[int, Tuple[int, int, int]]] = None
 
     # -- trail ---------------------------------------------------------------
 
@@ -215,6 +230,92 @@ class BitmaskEdgeStateModel(EdgeStateModel):
         self.stats.arc_assignments += 1
         self.queue.append(("arc", axis, a, b))
 
+    # -- packed pair state (word-parallel nogood matching) -------------------
+
+    def packed_pair_state(self) -> Tuple[int, int]:
+        """Current (component_bits, comparability_bits) flat integers."""
+        if not self._track_pairs:
+            self._arm_pair_tracking()
+        return self._flat_comp, self._flat_cmpb
+
+    def pair_tables(
+        self,
+    ) -> Tuple[List[List[List[int]]], Dict[int, Tuple[int, int, int]]]:
+        """``(pair_bit, pair_of_bit)`` for the flat pair-bit addressing."""
+        if not self._track_pairs:
+            self._arm_pair_tracking()
+        return self._pair_bit, self._pair_of_bit
+
+    def _arm_pair_tracking(self) -> None:
+        """Build the pair-bit index, rebuild the flat state from the state
+        arrays, and rebind the mutation hot paths to tracking variants."""
+        n, d = self.n, self.d
+        pair_bit = [[[0] * n for _ in range(n)] for _ in range(d)]
+        pair_of_bit: Dict[int, Tuple[int, int, int]] = {}
+        p = 0
+        for axis in range(d):
+            rows = pair_bit[axis]
+            for u in range(n):
+                for v in range(u + 1, n):
+                    bit = 1 << p
+                    rows[u][v] = bit
+                    rows[v][u] = bit
+                    pair_of_bit[p] = (axis, u, v)
+                    p += 1
+        comp_flat = 0
+        cmpb_flat = 0
+        for axis in range(d):
+            state = self.state[axis]
+            rows = pair_bit[axis]
+            for u in range(n):
+                srow = state[u]
+                brow = rows[u]
+                for v in range(u + 1, n):
+                    st = srow[v]
+                    if st == COMPONENT:
+                        comp_flat |= brow[v]
+                    elif st == COMPARABILITY:
+                        cmpb_flat |= brow[v]
+        self._pair_bit = pair_bit
+        self._pair_of_bit = pair_of_bit
+        self._flat_comp = comp_flat
+        self._flat_cmpb = cmpb_flat
+        self._track_pairs = True
+        # Instance-attribute rebinding: untracked models keep the plain
+        # class methods.
+        self._set_state = self._set_state_tracked  # type: ignore[assignment]
+        self.rollback = self._rollback_tracked  # type: ignore[assignment]
+
+    def _set_state_tracked(self, axis: int, u: int, v: int, value: int) -> None:
+        before = len(self.trail)
+        BitmaskEdgeStateModel._set_state(self, axis, u, v, value)
+        # Only a trail append means a fresh decision (re-asserting the
+        # current state is a silent no-op).
+        if len(self.trail) != before:
+            bit = self._pair_bit[axis][u][v]
+            if value == COMPONENT:
+                self._flat_comp |= bit
+            else:
+                self._flat_cmpb |= bit
+
+    def _rollback_tracked(self, mark: int) -> None:
+        trail = self.trail
+        if len(trail) > mark:
+            state = self.state
+            pair_bit = self._pair_bit
+            comp_flat, cmpb_flat = self._flat_comp, self._flat_cmpb
+            for i in range(len(trail) - 1, mark - 1, -1):
+                kind, axis, u, v = trail[i]
+                if kind != "s":
+                    continue
+                bit = pair_bit[axis][u][v]
+                if state[axis][u][v] == COMPONENT:
+                    comp_flat &= ~bit
+                else:
+                    cmpb_flat &= ~bit
+            self._flat_comp, self._flat_cmpb = comp_flat, cmpb_flat
+        BitmaskEdgeStateModel.rollback(self, mark)
+
     # -- propagation handlers --------------------------------------------------
 
     def _after_component(self, axis: int, u: int, v: int) -> None:
@@ -231,7 +332,9 @@ class BitmaskEdgeStateModel(EdgeStateModel):
             if pivots:
                 pred, succ = self._pred[axis], self._succ[axis]
                 fwd = pivots & (pred[u] | pred[v])
-                m = fwd
+                # Pivots already oriented toward both endpoints would make
+                # both force calls no-ops; mask them out up front.
+                m = fwd & ~(pred[u] & pred[v])
                 while m:
                     bit = m & -m
                     a = bit.bit_length() - 1
@@ -239,6 +342,7 @@ class BitmaskEdgeStateModel(EdgeStateModel):
                     self._force_arc(axis, a, u)
                     self._force_arc(axis, a, v)
                 m = pivots & (succ[u] | succ[v]) & ~fwd
+                m &= ~(succ[u] & succ[v])
                 while m:
                     bit = m & -m
                     a = bit.bit_length() - 1
@@ -278,14 +382,18 @@ class BitmaskEdgeStateModel(EdgeStateModel):
         if not self.options.implications:
             return
         comp, cmpb = self._comp[axis], self._cmpb[axis]
+        succ_a = self._succ[axis][a]
+        pred_b = self._pred[axis][b]
         # D1 with pivot a / pivot b, then D2 through predecessors of a and
-        # successors of b.  All four target sets are masks; forcing an arc
-        # twice is a no-op, so overlap between them costs nothing.
+        # successors of b, minus members whose forced arc is already
+        # oriented the forced way (complete no-ops: no counter, no trail,
+        # no queue).  Overlap between the sets costs nothing for the same
+        # reason.
         targets = (
-            (cmpb[a] & comp[b], True),       # a -> c
-            (cmpb[b] & comp[a], False),      # c -> b
-            (self._pred[axis][a], False),    # c -> a -> b, so c -> b
-            (self._succ[axis][b], True),     # a -> b -> c, so a -> c
+            (cmpb[a] & comp[b] & ~succ_a, True),   # a -> c
+            (cmpb[b] & comp[a] & ~pred_b, False),  # c -> b
+            (self._pred[axis][a] & ~pred_b, False),  # c -> a -> b
+            (self._succ[axis][b] & ~succ_a, True),   # a -> b -> c
         )
         for mask, from_a in targets:
             m = mask
@@ -305,14 +413,17 @@ class BitmaskEdgeStateModel(EdgeStateModel):
         weights = self.widths[axis]
         cap = self.sizes[axis]
         base = weights[u] + weights[v]
-        # The sums already include the freshly added edge {u, v}; any clique
-        # through the pair draws its other members from both neighborhoods.
         slack_u = self._ksum[axis][u] - weights[v]
         slack_v = self._ksum[axis][v] - weights[u]
         if base + (slack_u if slack_u < slack_v else slack_v) <= cap:
             return
         cmpb = self._cmpb[axis]
-        if self._clique_exceeds(cmpb, weights, cmpb[u] & cmpb[v], cap - base):
+        lut = self._wlut[axis]
+        if lut is None:
+            lut = self._wlut[axis] = _weight_luts(weights)
+        if self._clique_exceeds(
+            cmpb, weights, lut, cmpb[u] & cmpb[v], cap - base
+        ):
             self.stats.conflicts += 1
             raise Conflict(
                 f"C2 violated on axis {axis}: comparability clique through "
@@ -328,7 +439,12 @@ class BitmaskEdgeStateModel(EdgeStateModel):
         if base + (slack_u if slack_u < slack_v else slack_v) <= cap:
             return
         comp = self._comp[axis]
-        if self._clique_exceeds(comp, weights, comp[u] & comp[v], cap - base):
+        lut = self._clut[axis]
+        if lut is None:
+            lut = self._clut[axis] = _weight_luts(weights)
+        if self._clique_exceeds(
+            comp, weights, lut, comp[u] & comp[v], cap - base
+        ):
             self.stats.conflicts += 1
             raise Conflict(
                 f"cross-section overflow on axis {axis}: component clique "
@@ -337,14 +453,19 @@ class BitmaskEdgeStateModel(EdgeStateModel):
 
     @staticmethod
     def _clique_exceeds(
-        adj: List[int], weights: List[int], candidates: int, budget: int
+        adj: List[int],
+        weights: List[int],
+        lut: List[List[int]],
+        candidates: int,
+        budget: int,
     ) -> bool:
         """True iff some clique inside ``candidates`` outweighs ``budget``.
 
         Members must be pairwise adjacent under ``adj`` (the candidate set
         is already restricted to a common neighborhood by the caller).
-        Early exit on the first witness; the remaining-weight bound prunes
-        subtrees that cannot reach the budget.
+        Early exit on the first witness; the remaining-weight bound, summed
+        a byte at a time through ``lut``, prunes subtrees that cannot
+        reach the budget.
         """
         if budget < 0:
             return True
@@ -354,10 +475,13 @@ class BitmaskEdgeStateModel(EdgeStateModel):
                 return True
             rest = 0
             m = cand
+            j = 0
             while m:
-                bit = m & -m
-                rest += weights[bit.bit_length() - 1]
-                m ^= bit
+                byte = m & 255
+                if byte:
+                    rest += lut[j][byte]
+                m >>= 8
+                j += 1
             if acc + rest <= budget:
                 return False
             m = cand
@@ -474,42 +598,85 @@ class BitmaskEdgeStateModel(EdgeStateModel):
     # -- C5 odd-cycle obstruction ------------------------------------------------
 
     def _check_c5_patterns(self, axis: int, u: int, v: int) -> None:
+        """Detect a completed 5-vertex obstruction through the pair.
+
+        Rather than enumerating all decided triples of the shared
+        neighborhood and testing five degree conditions per triple, the
+        degree conditions are baked into the candidate *sets*: in a
+        witness group every vertex has comparability degree exactly 2,
+        which pins where the remaining three vertices must sit relative
+        to ``cmpb[u]`` / ``cmpb[v]``.  With ``{u, v}`` a comparability
+        edge the cycle is ``u-b-m-c-v-u`` (``b`` adjacent to ``u`` only,
+        ``c`` to ``v`` only, ``m`` to neither); with ``{u, v}`` a
+        component edge it is ``u-a-v-b-c-u`` (``a`` adjacent to both,
+        ``b`` to ``v`` only, ``c`` to ``u`` only).  Either case is a
+        two-level loop over far smaller masks than the triple
+        enumeration, and a witness exists in one formulation iff it
+        exists in the other, so the conflicts match the reference.
+        """
         comp, cmpb = self._comp[axis], self._cmpb[axis]
-        dec_u = comp[u] | cmpb[u]
-        dec_v = comp[v] | cmpb[v]
-        shared = dec_u & dec_v
+        shared = (comp[u] | cmpb[u]) & (comp[v] | cmpb[v])
         if _popcount(shared) < 3:
             return
-        group_base = (1 << u) | (1 << v)
-        m = shared
-        while m:
-            bx = m & -m
-            x = bx.bit_length() - 1
-            m ^= bx
-            mx = shared & (comp[x] | cmpb[x]) & ~((bx << 1) - 1)
-            while mx:
-                by = mx & -mx
-                y = by.bit_length() - 1
-                mx ^= by
-                my = mx & (comp[y] | cmpb[y])
-                while my:
-                    bz = my & -my
-                    z = bz.bit_length() - 1
-                    my ^= bz
-                    group = group_base | bx | by | bz
-                    # Five comparability edges with every vertex of degree
-                    # 2 on five vertices is exactly one induced C5.
-                    if (
-                        _popcount(cmpb[u] & group) == 2
-                        and _popcount(cmpb[v] & group) == 2
-                        and _popcount(cmpb[x] & group) == 2
-                        and _popcount(cmpb[y] & group) == 2
-                        and _popcount(cmpb[z] & group) == 2
-                    ):
+        cu, cv = cmpb[u], cmpb[v]
+        if cu & (1 << v):
+            only_u = shared & cu & ~cv
+            only_v = shared & cv & ~cu
+            if not (only_u and only_v):
+                return
+            neither = shared & ~cu & ~cv
+            if not neither:
+                return
+            m = only_u
+            while m:
+                bb = m & -m
+                b = bb.bit_length() - 1
+                m ^= bb
+                mids = neither & cmpb[b]
+                if not mids:
+                    continue
+                comp_b = comp[b]
+                while mids:
+                    bm = mids & -mids
+                    mid = bm.bit_length() - 1
+                    mids ^= bm
+                    cc = only_v & cmpb[mid] & comp_b
+                    if cc:
+                        c = (cc & -cc).bit_length() - 1
                         self.stats.conflicts += 1
                         raise Conflict(
                             f"odd-cycle obstruction (C5) on axis {axis}: "
-                            f"{sorted((u, v, x, y, z))}"
+                            f"{sorted((u, v, b, mid, c))}"
+                        )
+        else:
+            both = shared & cu & cv
+            if not both:
+                return
+            only_u = shared & cu & ~cv
+            only_v = shared & cv & ~cu
+            if not (only_u and only_v):
+                return
+            m = both
+            while m:
+                ba = m & -m
+                a = ba.bit_length() - 1
+                m ^= ba
+                comp_a = comp[a]
+                bs = only_v & comp_a
+                cs = only_u & comp_a
+                if not (bs and cs):
+                    continue
+                while bs:
+                    bb = bs & -bs
+                    b = bb.bit_length() - 1
+                    bs ^= bb
+                    cc = cs & cmpb[b]
+                    if cc:
+                        c = (cc & -cc).bit_length() - 1
+                        self.stats.conflicts += 1
+                        raise Conflict(
+                            f"odd-cycle obstruction (C5) on axis {axis}: "
+                            f"{sorted((u, v, a, b, c))}"
                         )
 
     # -- views --------------------------------------------------------------------

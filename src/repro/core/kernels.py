@@ -1,15 +1,16 @@
 """First-class kernel registry: every propagation engine is a named peer.
 
 The search used to hardcode a ``KERNELS`` tuple; this module replaces it
-with a registry so built-in engines (``reference``, ``bitmask``,
-``vector``) and third-party engines resolve through one surface:
+with a registry so built-in engines (``bitmask``, ``reference``) and
+third-party engines resolve through one surface:
 
 * :func:`register` — add a kernel under a name (import-time call).
-* :func:`get` — resolve a name to its factory; unknown names raise
+* :func:`resolve` — map a name (or a retired alias such as ``vector``)
+  to the registered name; unknown names raise
   :class:`UnknownKernelError`, which auto-lists the registered names.
-* :func:`available` — the names usable *right now*, in registration
-  order; kernels with unmet requirements (e.g. ``vector`` without
-  NumPy) are listed only once their probe passes.
+  Every site that validates a kernel name calls it.
+* :func:`get` — resolve a name to its factory.
+* :func:`available` — the registered names, in registration order.
 * :func:`make_model` — instantiate a kernel for one instance (the seam
   used by :class:`~repro.core.search.BranchAndBound`).
 
@@ -51,7 +52,6 @@ between kernels because of it.
 
 from __future__ import annotations
 
-import importlib.util
 from abc import ABC, abstractmethod
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -69,6 +69,7 @@ __all__ = [
     "make_model",
     "register",
     "register_kernel",
+    "resolve",
 ]
 
 #: ``(instance, options) -> engine`` — the contract a registered kernel
@@ -82,7 +83,7 @@ ENTRY_POINT_GROUP = "repro.kernels"
 
 
 class UnknownKernelError(ValueError):
-    """A kernel name that is not registered (or whose probe fails)."""
+    """A kernel name that is neither registered nor an alias."""
 
     def __init__(self, name: str) -> None:
         super().__init__(
@@ -91,48 +92,26 @@ class UnknownKernelError(ValueError):
         self.kernel = name
 
 
-class _Entry:
-    __slots__ = ("factory", "probe", "_probed")
-
-    def __init__(
-        self,
-        factory: KernelFactory,
-        probe: Optional[Callable[[], bool]],
-    ) -> None:
-        self.factory = factory
-        self.probe = probe
-        self._probed: Optional[bool] = None
-
-    def usable(self) -> bool:
-        if self.probe is None:
-            return True
-        if self._probed is None:
-            self._probed = bool(self.probe())
-        return self._probed
-
-
-_registry: Dict[str, _Entry] = {}
+_registry: Dict[str, KernelFactory] = {}
 _entry_points_loaded = False
+
+#: Retired kernel names and the registered kernel each now runs on, so
+#: journals, wire requests and scripts that name them keep working.
+#: ``vector`` was a separate engine until its algorithms were folded into
+#: ``bitmask``.
+_ALIASES = {"vector": "bitmask"}
 
 
 def register(
-    name: str,
-    factory: KernelFactory,
-    *,
-    probe: Optional[Callable[[], bool]] = None,
-    replace: bool = False,
+    name: str, factory: KernelFactory, *, replace: bool = False
 ) -> None:
     """Register ``factory`` under ``name``.
 
-    ``probe`` is an optional zero-argument callable deciding (once,
-    cached) whether the kernel's requirements are met; kernels whose
-    probe returns ``False`` are hidden from :func:`available` and
-    unresolvable through :func:`get`.  Re-registering an existing name
-    raises unless ``replace=True``.
+    Re-registering an existing name raises unless ``replace=True``.
     """
     if not replace and name in _registry:
         raise ValueError(f"kernel {name!r} is already registered")
-    _registry[name] = _Entry(factory, probe)
+    _registry[name] = factory
 
 
 def _load_entry_points() -> None:
@@ -163,25 +142,30 @@ def _load_entry_points() -> None:
 
 
 def available() -> Tuple[str, ...]:
-    """Registered kernel names whose requirements are met, in order."""
+    """Registered kernel names, in registration order (aliases excluded)."""
     _load_entry_points()
-    return tuple(
-        name for name, entry in _registry.items() if entry.usable()
-    )
+    return tuple(_registry)
+
+
+def resolve(name: str) -> str:
+    """The registered kernel name ``name`` stands for.
+
+    Registered names map to themselves and aliases to their target.
+    Raises :class:`UnknownKernelError` (a :class:`ValueError`) for
+    anything else, listing the names that would work.
+    """
+    _load_entry_points()
+    if name in _registry:
+        return name
+    target = _ALIASES.get(name)
+    if target is None or target not in _registry:
+        raise UnknownKernelError(name)
+    return target
 
 
 def get(name: str) -> KernelFactory:
-    """Resolve a kernel name to its factory.
-
-    Raises :class:`UnknownKernelError` (a :class:`ValueError`) for
-    unregistered names and for kernels whose probe fails, listing the
-    names that *would* work.
-    """
-    _load_entry_points()
-    entry = _registry.get(name)
-    if entry is None or not entry.usable():
-        raise UnknownKernelError(name)
-    return entry.factory
+    """Resolve a kernel name (or alias) to its factory."""
+    return _registry[resolve(name)]
 
 
 def make_model(
@@ -198,7 +182,7 @@ class EngineProtocol(ABC):
 
     The reference implementation is
     :class:`~repro.core.edgestate.EdgeStateModel` (registered as a
-    virtual subclass); ``bitmask`` and ``vector`` are drop-in peers.
+    virtual subclass); ``bitmask`` is a drop-in peer.
     See the module docstring for the documented attributes
     (``kernel_name``, ``state``, ``orient``, ``stats``, ``options``).
     """
@@ -271,22 +255,9 @@ def _bitmask_factory(
     return BitmaskEdgeStateModel(instance, options)
 
 
-def _vector_factory(
-    instance: PackingInstance, options: Optional[PropagationOptions] = None
-) -> EdgeStateModel:
-    from .vector import VectorEdgeStateModel
-
-    return VectorEdgeStateModel(instance, options)
-
-
-def _have_numpy() -> bool:
-    return importlib.util.find_spec("numpy") is not None
-
-
 # Registration order is presentation order: production default first,
-# then the vectorized engine, then the oracle.
+# then the oracle.
 register("bitmask", _bitmask_factory)
-register("vector", _vector_factory, probe=_have_numpy)
 register("reference", _reference_factory)
 
 # Aliases for flat-namespace re-export (``from repro.core import ...``).

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .boxes import PackingInstance
+from .kernels import make_model
 from .edgestate import (
     COMPARABILITY,
     COMPONENT,
@@ -146,7 +147,7 @@ class Nogood:
         """The literal set as ``(component_bits, comparability_bits)``.
 
         ``pair_bit`` is a kernel's ``[axis][u][v] -> bit`` table (see
-        ``VectorEdgeStateModel.pair_tables``).  Computed once per nogood —
+        ``BitmaskEdgeStateModel.pair_tables``).  Computed once per nogood —
         the literal set is immutable — and cached on the instance; the
         cache is per-search because stores are.  Returns ``None`` for the
         degenerate case of contradictory literals on one pair, which the
@@ -311,8 +312,6 @@ class ConflictAnalyzer:
         This is the exact check the soundness suite replays independently:
         a stored nogood must refute on a fresh kernel with no search state.
         """
-        from .bitmask import make_model  # local import breaks the cycle
-
         self.replays += 1
         model = make_model(self.instance, self.propagation, self.kernel)
         try:

@@ -23,7 +23,7 @@ from typing import Callable, List, Optional
 
 from .._compat import keyword_only
 from ..telemetry import coerce as _coerce_telemetry
-from .kernels import UnknownKernelError, available as available_kernels
+from .kernels import resolve as resolve_kernel
 from .boxes import PackingInstance, Placement
 from .bounds import BOUND_NAMES, prove_infeasible_named
 from .deadline import DEADLINE_LIMIT, Deadline
@@ -53,8 +53,10 @@ class SolverOptions:
 
     ``kernel`` selects the propagation engine for the search stage:
     ``"bitmask"`` (default, word-parallel bitsets) or ``"reference"`` (the
-    object-per-edge oracle).  Both kernels explore the identical tree and
-    return identical answers; see :mod:`repro.core.bitmask`.
+    object-per-edge oracle), or any other registered kernel.  The retired
+    name ``"vector"`` is an alias of ``"bitmask"``; names are stored
+    resolved.  Both kernels explore the identical tree and return
+    identical answers; see :mod:`repro.core.bitmask`.
 
     ``disabled_bounds`` names stage-1 bounds to skip (by function name, see
     :data:`repro.core.bounds.BOUND_NAMES`) — an ablation knob; disabling
@@ -91,8 +93,7 @@ class SolverOptions:
             raise ValueError(
                 f"node_limit must be non-negative, got {self.node_limit}"
             )
-        if self.kernel not in available_kernels():
-            raise UnknownKernelError(self.kernel)
+        self.kernel = resolve_kernel(self.kernel)
         self.disabled_bounds = tuple(self.disabled_bounds)
         unknown = [n for n in self.disabled_bounds if n not in BOUND_NAMES]
         if unknown:

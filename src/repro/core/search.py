@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..graphs.chordal import is_chordal, is_chordal_masks
 from ..telemetry import NODE_SAMPLE_INTERVAL, NO_TELEMETRY
 from .boxes import PackingInstance, Placement
-from .kernels import get as get_kernel, make_model
+from .kernels import make_model, resolve as resolve_kernel
 from .edgestate import (
     COMPARABILITY,
     COMPONENT,
@@ -419,10 +419,10 @@ class BranchAndBound:
         instance keeps the hot loop free of telemetry cost.
 
         ``kernel`` selects the propagation engine: ``"bitmask"`` (default,
-        :class:`repro.core.bitmask.BitmaskEdgeStateModel`) or
-        ``"reference"`` (the oracle).  Both explore the identical tree, so
-        the choice is deliberately *not* part of the checkpoint
-        fingerprint — checkpoints are portable across kernels.
+        :class:`repro.core.bitmask.BitmaskEdgeStateModel`; ``"vector"`` is
+        an alias) or ``"reference"`` (the oracle).  Both explore the
+        identical tree, so the choice is deliberately *not* part of the
+        checkpoint fingerprint — checkpoints are portable across kernels.
 
         ``learning`` (a :class:`repro.core.nogoods.LearningOptions`)
         switches the conflict-learning layer on: nogood recording and
@@ -442,8 +442,7 @@ class BranchAndBound:
         from this run's stats (the splitter already counted them)."""
         self.instance = instance
         self.telemetry = telemetry if telemetry is not None else NO_TELEMETRY
-        get_kernel(kernel)  # raises UnknownKernelError on bad names
-        self.kernel = kernel
+        self.kernel = kernel = resolve_kernel(kernel)
         if pre_states or pre_arcs:
             from dataclasses import replace
 
@@ -995,7 +994,7 @@ class BranchAndBound:
         further nogoods unit.  All assignments land on the model trail after
         the caller's mark, so the ordinary rollback undoes them.
 
-        Kernels exposing a packed pair state (``vector``) are matched
+        Kernels exposing a packed pair state (``bitmask``) are matched
         word-parallel through :meth:`_apply_nogoods_packed` — identical
         outcomes, bump order, and forcing order.
         """

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ..core.boxes import Container
+from ..heuristics.grid import OccupancyGrid
 from .chip import Chip
 from .dataflow import TaskGraph
 from .schedule import ReconfigurationSchedule, ScheduledTask
@@ -59,8 +59,10 @@ class OnlinePlacer:
             raise ValueError("horizon must be positive")
         self.chip = chip
         self.horizon = horizon
-        # occupancy[t, y, x]
-        self._cells = np.zeros((horizon, chip.height, chip.width), dtype=bool)
+        # Cells are indexed (x, y, t).
+        self._grid = OccupancyGrid(
+            Container((chip.width, chip.height, horizon))
+        )
         self.placements: List[ScheduledTask] = []
         self.stats = OnlineStats()
 
@@ -76,9 +78,9 @@ class OnlinePlacer:
             self.stats.rejected += 1
             return None
         x, y, start = spot
-        self._cells[
-            start : start + task.duration, y : y + task.height, x : x + task.width
-        ] = True
+        self._grid.place(
+            (x, y, start), (task.width, task.height, task.duration)
+        )
         placed = ScheduledTask(task=task, x=x, y=y, start=start)
         self.placements.append(placed)
         self.stats.placed += 1
@@ -127,26 +129,22 @@ class OnlinePlacer:
         for start in ends:
             if start + task.duration > self.horizon:
                 return None
-            window = self._cells[
-                start : start + task.duration
-            ]
-            spot = self._scan_positions(window, task)
+            spot = self._scan_positions(start, task)
             if spot is not None:
                 return (spot[0], spot[1], start)
         return None
 
-    def _scan_positions(self, window, task: Task) -> Optional[Tuple[int, int]]:
+    def _scan_positions(
+        self, start: int, task: Task
+    ) -> Optional[Tuple[int, int]]:
         # Bottom-left scan over anchor candidates: 0 and edges of occupied
         # regions, conservatively every placed box edge.
         xs = sorted({0} | {p.x + p.task.width for p in self.placements})
         ys = sorted({0} | {p.y + p.task.height for p in self.placements})
+        widths = (task.width, task.height, task.duration)
         for y in ys:
-            if y + task.height > self.chip.height:
-                continue
             for x in xs:
-                if x + task.width > self.chip.width:
-                    continue
-                if not window[:, y : y + task.height, x : x + task.width].any():
+                if self._grid.fits((x, y, start), widths):
                     return (x, y)
         return None
 

@@ -1,17 +1,16 @@
 """Occupancy-grid geometry used by the placement heuristics.
 
 The heuristics (stage 2 of the paper's framework) work on an explicit cell
-grid: the container is a boolean occupancy array indexed ``[t][y][x]`` (or
-generally ``[axis_d-1] … [axis_0]``) and candidate anchors are generated
-from the corners of already-placed boxes — the classic bottom-left family.
-numpy keeps the region tests cheap.
+grid: the container is an occupancy array over its cells, and candidate
+anchors are generated from the corners of already-placed boxes — the
+classic bottom-left family.  The cells live in one flat ``bytearray`` with
+axis 0 contiguous, so a box region is a handful of axis-0 runs and each
+run is tested with a single ``bytearray.find``.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..core.boxes import Box, Container
 
@@ -19,37 +18,69 @@ Coordinate = Tuple[int, ...]
 
 
 class OccupancyGrid:
-    """A d-dimensional boolean occupancy grid over the container cells."""
+    """A d-dimensional occupancy grid over the container cells."""
 
     def __init__(self, container: Container) -> None:
         self.container = container
-        # numpy shape uses reversed axis order so that axis 0 of the array is
-        # the *last* instance axis (time); purely an internal convention.
         self.sizes = container.sizes
-        self.cells = np.zeros(tuple(reversed(self.sizes)), dtype=bool)
+        self._strides: List[int] = []
+        cells = 1
+        for size in self.sizes:
+            self._strides.append(cells)
+            cells *= size
+        #: One byte per cell, 1 = occupied; cell ``c`` sits at offset
+        #: ``sum(c[axis] * stride[axis])`` with axis 0 contiguous.
+        self.cells = bytearray(cells)
 
-    def _region(self, position: Coordinate, widths: Sequence[int]):
-        slices = tuple(
-            slice(position[axis], position[axis] + widths[axis])
-            for axis in reversed(range(len(self.sizes)))
-        )
-        return self.cells[slices]
+    def _runs(
+        self, position: Coordinate, widths: Sequence[int]
+    ) -> List[int]:
+        """Start offsets of the axis-0 runs that make up a region."""
+        strides = self._strides
+        starts = [sum(p * s for p, s in zip(position, strides))]
+        for axis in range(1, len(strides)):
+            step = strides[axis]
+            span = widths[axis] * step
+            starts = [s + k for s in starts for k in range(0, span, step)]
+        return starts
 
-    def fits(self, position: Coordinate, widths: Sequence[int]) -> bool:
-        """Inside the container and fully free?"""
+    def _inside(self, position: Coordinate, widths: Sequence[int]) -> bool:
         for axis, size in enumerate(self.sizes):
             if position[axis] < 0 or position[axis] + widths[axis] > size:
                 return False
-        return not self._region(position, widths).any()
+        return True
+
+    def fits(self, position: Coordinate, widths: Sequence[int]) -> bool:
+        """Inside the container and fully free?"""
+        if not self._inside(position, widths):
+            return False
+        find = self.cells.find
+        width = widths[0]
+        for start in self._runs(position, widths):
+            if find(1, start, start + width) != -1:
+                return False
+        return True
 
     def place(self, position: Coordinate, widths: Sequence[int]) -> None:
-        region = self._region(position, widths)
-        if region.any():
-            raise ValueError(f"cells at {position} already occupied")
-        region[...] = True
+        if not self.fits(position, widths):
+            raise ValueError(
+                f"cells at {position} are occupied or outside the container"
+            )
+        self._fill(position, widths, 1)
 
     def remove(self, position: Coordinate, widths: Sequence[int]) -> None:
-        self._region(position, widths)[...] = False
+        if not self._inside(position, widths):
+            raise ValueError(f"region at {position} leaves the container")
+        self._fill(position, widths, 0)
+
+    def _fill(
+        self, position: Coordinate, widths: Sequence[int], value: int
+    ) -> None:
+        width = widths[0]
+        run = bytes([value]) * width
+        cells = self.cells
+        for start in self._runs(position, widths):
+            cells[start : start + width] = run
 
 
 def candidate_coordinates(

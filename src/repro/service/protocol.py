@@ -27,7 +27,11 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.kernels import available as available_kernels
+from ..core.kernels import (
+    UnknownKernelError,
+    available as available_kernels,
+    resolve as resolve_kernel,
+)
 from ..core.opp import OPPResult
 from ..io.serialize import instance_from_dict, instance_to_dict, opp_result_to_dict
 from ..runtime.manifest import ManifestEntry, ManifestError
@@ -146,6 +150,24 @@ def _deadline_ms(data: Dict[str, Any], errors: _Errors) -> Optional[int]:
     return value
 
 
+def _kernel(data: Dict[str, Any], errors: _Errors) -> Optional[str]:
+    """The requested kernel, aliases resolved to the registered name."""
+    value = data.get("kernel")
+    if value is None:
+        return None
+    if isinstance(value, str):
+        try:
+            return resolve_kernel(value)
+        except UnknownKernelError:
+            pass
+    errors.add(
+        "kernel",
+        f"unknown kernel {value!r} (available: "
+        f"{', '.join(available_kernels())})",
+    )
+    return None
+
+
 def _kind(data: Dict[str, Any], expected: str, errors: _Errors) -> None:
     kind = data.get("kind", expected)
     if kind != expected:
@@ -197,16 +219,7 @@ class SolveRequest:
                 instance = instance_from_dict(raw_instance)
             except (KeyError, TypeError, ValueError) as exc:
                 errors.add("instance", f"malformed instance encoding: {exc}")
-        kernel = data.get("kernel")
-        if kernel is not None:
-            registry = available_kernels()
-            if not isinstance(kernel, str) or kernel not in registry:
-                errors.add(
-                    "kernel",
-                    f"unknown kernel {kernel!r} (available: "
-                    f"{', '.join(registry)})",
-                )
-                kernel = None
+        kernel = _kernel(data, errors)
         learning = _bool(data, "learning", False, errors)
         time_limit = _time_limit(data, errors)
         deadline_ms = _deadline_ms(data, errors)
@@ -289,16 +302,7 @@ class BatchRequest:
                     )
                 seen.add(entry.instance_id)
                 entries.append(entry)
-        kernel = data.get("kernel")
-        if kernel is not None:
-            registry = available_kernels()
-            if not isinstance(kernel, str) or kernel not in registry:
-                errors.add(
-                    "kernel",
-                    f"unknown kernel {kernel!r} (available: "
-                    f"{', '.join(registry)})",
-                )
-                kernel = None
+        kernel = _kernel(data, errors)
         learning = _bool(data, "learning", False, errors)
         deadline_ms = _deadline_ms(data, errors)
         wait = _bool(data, "wait", False, errors)

@@ -20,7 +20,6 @@ import random
 import pytest
 
 from repro.core import SolverOptions, solve_opp
-from repro.core.bitmask import KERNELS, make_model
 from repro.core.bounds import BOUND_NAMES, prove_infeasible, prove_infeasible_named
 from repro.core.boxes import make_instance
 from repro.core.edgestate import (
@@ -29,7 +28,12 @@ from repro.core.edgestate import (
     Conflict,
     PropagationOptions,
 )
+from repro.core.kernels import available, make_model
 from repro.instances.random_instances import random_instance
+
+#: Every registered kernel plus the ``vector`` alias, which must fire and
+#: stay silent exactly like the kernel it names.
+KERNELS = available() + ("vector",)
 
 
 def _all_except(name):
@@ -242,7 +246,7 @@ def _drive(boxes, container, assigns, options, kernel):
 
 
 class TestRuleWitnesses:
-    """Claim 1 for the propagation rules, under both kernels."""
+    """Claim 1 for the propagation rules, under every kernel."""
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("flag", sorted(RULE_WITNESSES))

@@ -1,6 +1,7 @@
 """CLI smoke tests (the experiment commands are exercised end to end)."""
 
 import json
+import re
 
 import pytest
 
@@ -28,6 +29,21 @@ SAT_INSTANCE = {
     ],
     "container": [2, 2, 2],
     "precedence": [[0, 1]],
+    "time_axis": 2,
+}
+
+#: Eight boxes that neither bounds nor the greedy heuristic decide; the
+#: search needs a few hundred nodes.
+SEARCH_INSTANCE = {
+    "boxes": [
+        {"widths": w, "name": f"h{i}"}
+        for i, w in enumerate([
+            [4, 3, 4], [1, 1, 4], [4, 2, 1], [2, 2, 1],
+            [3, 2, 2], [2, 1, 2], [2, 1, 4], [1, 4, 2],
+        ])
+    ],
+    "container": [4, 5, 6],
+    "precedence": None,
     "time_axis": 2,
 }
 
@@ -91,19 +107,20 @@ class TestExitCodes:
         # Neither bounds nor the greedy heuristic decide this instance, and a
         # zero time budget stops the search: the solver must give up, not
         # guess.
-        widths = [
-            [4, 3, 4], [1, 1, 4], [4, 2, 1], [2, 2, 1],
-            [3, 2, 2], [2, 1, 2], [2, 1, 4], [1, 4, 2],
-        ]
-        instance = {
-            "boxes": [{"widths": w, "name": f"h{i}"} for i, w in enumerate(widths)],
-            "container": [4, 5, 6],
-            "precedence": None,
-            "time_axis": 2,
-        }
-        path = _write_instance(tmp_path, instance)
+        path = _write_instance(tmp_path, SEARCH_INSTANCE)
         assert main(["solve", path, "--time-limit", "0"]) == EXIT_UNKNOWN
         assert "status: unknown" in capsys.readouterr().out
+
+    def test_vector_kernel_alias_matches_bitmask(self, tmp_path, capsys):
+        path = _write_instance(tmp_path, SEARCH_INSTANCE)
+        runs = {}
+        for kernel in ("bitmask", "vector"):
+            assert main(["solve", path, "--kernel", kernel, "--metrics"]) == EXIT_OK
+            out = capsys.readouterr().out
+            nodes = re.search(r"nodes expanded:\s+(\d+)", out).group(1)
+            runs[kernel] = (out.splitlines()[0], int(nodes))
+        assert runs["vector"] == runs["bitmask"]
+        assert runs["bitmask"][1] > 0
 
 
 class TestCommands:

@@ -3,6 +3,9 @@ the paper, the common result protocol, the deprecation shims for old
 positional signatures, and the public-API snapshot pinning ``repro.__all__``.
 """
 
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -24,6 +27,13 @@ def two_squares():
     """Two 2x2 modules of duration 1, the second depending on the first."""
     return boxes_of([(2, 2, 1), (2, 2, 1)]), DiGraph(2, [(0, 1)])
 
+
+#: Eight boxes in a 4x5x6 container: satisfiable, but only after a few
+#: hundred search nodes.
+SEARCH_WIDTHS = [
+    (4, 3, 4), (1, 1, 4), (4, 2, 1), (2, 2, 1),
+    (3, 2, 2), (2, 1, 2), (2, 1, 4), (1, 4, 2),
+]
 
 PROTOCOL_ATTRS = ("status", "value", "stats", "faults", "trace")
 
@@ -245,6 +255,16 @@ class TestKernelFacade:
                 kernel=kernel,
             ).value == 2
 
+    def test_vector_alias_runs_bitmask(self):
+        instance = PackingInstance(boxes_of(SEARCH_WIDTHS), Container((4, 5, 6)))
+        options = SolverOptions(use_bounds=False, use_heuristics=False)
+        runs = {
+            kernel: repro.solve(instance, options=options, kernel=kernel)
+            for kernel in ("bitmask", "vector")
+        }
+        assert runs["vector"].status == runs["bitmask"].status == "sat"
+        assert runs["vector"].stats.nodes == runs["bitmask"].stats.nodes > 0
+
     def test_kernel_kwarg_overrides_options(self):
         boxes, dag = two_squares()
         instance = PackingInstance(boxes, Container((2, 2, 2)), dag)
@@ -382,6 +402,31 @@ class TestPublicApiSnapshot:
             "make_model",
             "register",
             "register_kernel",
+            "resolve",
         ]
         for name in kernels.__all__:
             assert hasattr(kernels, name), name
+
+
+class TestNoThirdPartyRuntimeDependency:
+    def test_import_and_solve_never_load_numpy(self):
+        """``import repro`` plus one facade solve (bounds, heuristic grid,
+        search kernel) must run on the standard library alone."""
+        script = (
+            "import sys\n"
+            "import repro\n"
+            "from repro.core import make_instance\n"
+            "inst = make_instance([(2, 2, 2), (2, 2, 2)], (4, 4, 4),\n"
+            "                     precedence_arcs=[(0, 1)])\n"
+            "assert repro.solve(inst).status == 'sat'\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

@@ -45,6 +45,40 @@ class TestOccupancyGrid:
         with pytest.raises(ValueError):
             grid.place((0, 0, 0), (1, 1, 1))
 
+    def test_partial_overlap_raises_and_changes_nothing(self):
+        grid = OccupancyGrid(Container((4, 3, 2)))
+        grid.place((3, 2, 1), (1, 1, 1))  # the far corner cell
+        before = bytes(grid.cells)
+        with pytest.raises(ValueError):
+            grid.place((2, 1, 0), (2, 2, 2))
+        assert bytes(grid.cells) == before
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_far_walls(self, axis):
+        sizes = (4, 3, 5)
+        grid = OccupancyGrid(Container(sizes))
+        widths = [1, 1, 1]
+        widths[axis] = 2
+        flush = [0, 0, 0]
+        flush[axis] = sizes[axis] - 2
+        past = list(flush)
+        past[axis] += 1
+        assert not grid.fits(tuple(past), widths)
+        with pytest.raises(ValueError):
+            grid.place(tuple(past), widths)
+        grid.place(tuple(flush), widths)
+        assert not grid.fits(tuple(flush), widths)
+        # Exactly the region's cells are occupied, nothing wraps around.
+        assert sum(grid.cells) == 2
+        for offset in range(sizes[axis]):
+            cell = [0, 0, 0]
+            cell[axis] = offset
+            inside = offset >= sizes[axis] - 2
+            assert grid.fits(tuple(cell), (1, 1, 1)) is not inside
+        grid.remove(tuple(flush), widths)
+        assert not any(grid.cells)
+        assert grid.fits((0, 0, 0), sizes)
+
 
 class TestCandidates:
     def test_origin_always_candidate(self):

@@ -1,8 +1,8 @@
 """Differential equivalence suite: every registered kernel vs the oracle.
 
-The ``bitmask`` kernel (``repro.core.bitmask``) and the ``vector`` kernel
-(``repro.core.vector``) are rewrites of the reference edge-state engine
-and are required to be *semantically identical* to it: same SAT/UNSAT
+The ``bitmask`` kernel (``repro.core.bitmask``) is a rewrite of the
+reference edge-state engine and is required to be *semantically
+identical* to it: same SAT/UNSAT
 answers, same optima, and — because the propagation rules reach the same
 fixpoints and the branch heuristics read the same state — the same search
 tree node for node.  The kernel pool is taken live from the registry

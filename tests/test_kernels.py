@@ -4,21 +4,20 @@ The registry (:mod:`repro.core.kernels`) is the single surface every
 kernel consumer goes through — ``SolverOptions`` validation, the CLI's
 ``--kernel`` choices, ``repro.solve(kernel=...)``, and the search itself
 all resolve names here.  These tests pin the registry semantics
-(ordering, probes, replacement, the auto-listing error), the
+(ordering, aliases, replacement, the auto-listing error), the
 :class:`~repro.core.kernels.EngineProtocol` contract every built-in
-satisfies, and the byte-stability of the vector kernel's packed pair
-state (a hypothesis property test, since the packed form rides in
-word-parallel nogood matching where a single flipped bit silently
-corrupts pruning).
+satisfies, and the bitmask kernel's incrementally tracked flat pair
+state (it rides in word-parallel nogood matching, where a single
+flipped bit silently corrupts pruning).
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import (
+    COMPARABILITY,
+    COMPONENT,
     BitmaskEdgeStateModel,
     Conflict,
     EdgeStateModel,
@@ -54,9 +53,15 @@ def scratch_registry():
 class TestRegistry:
     def test_builtins_registered_in_presentation_order(self):
         names = available_kernels()
-        # numpy is a hard dependency of the package, so all three
-        # built-ins are always usable, in registration order.
-        assert names[:3] == ("bitmask", "vector", "reference")
+        assert names[:2] == ("bitmask", "reference")
+
+    def test_vector_is_an_alias_of_bitmask(self):
+        assert "vector" not in available_kernels()
+        assert kernels_mod.resolve("vector") == "bitmask"
+        assert get_kernel("vector") is get_kernel("bitmask")
+        assert SolverOptions(kernel="vector").kernel == "bitmask"
+        with pytest.raises(UnknownKernelError):
+            kernels_mod.resolve("warp")
 
     def test_unknown_kernel_error_lists_alternatives(self):
         with pytest.raises(UnknownKernelError) as excinfo:
@@ -87,37 +92,6 @@ class TestRegistry:
         register_kernel("scratch", factory2, replace=True)
         assert get_kernel("scratch") is factory2
 
-    def test_probe_gates_availability(self, scratch_registry):
-        register_kernel(
-            "needs-magic",
-            lambda instance, options=None: BitmaskEdgeStateModel(
-                instance, options
-            ),
-            probe=lambda: False,
-        )
-        assert "needs-magic" not in available_kernels()
-        with pytest.raises(UnknownKernelError):
-            get_kernel("needs-magic")
-
-    def test_probe_is_cached(self, scratch_registry):
-        calls = []
-
-        def probe():
-            calls.append(1)
-            return True
-
-        register_kernel(
-            "probed",
-            lambda instance, options=None: BitmaskEdgeStateModel(
-                instance, options
-            ),
-            probe=probe,
-        )
-        available_kernels()
-        available_kernels()
-        get_kernel("probed")
-        assert len(calls) == 1
-
     def test_third_party_kernel_flows_end_to_end(self, scratch_registry):
         """A registered kernel passes options validation and solves."""
 
@@ -141,18 +115,17 @@ class TestRegistry:
 
     def test_legacy_kernels_tuple_reflects_registry(self):
         import repro.core
-        from repro.core.bitmask import KERNELS as bitmask_kernels
 
         assert repro.core.KERNELS == available_kernels()
-        assert bitmask_kernels == available_kernels()
 
 
 class TestEngineProtocol:
-    @pytest.mark.parametrize("name", ["bitmask", "vector", "reference"])
+    # "vector" is an alias: it must build the engine it names.
+    @pytest.mark.parametrize("name", ["bitmask", "reference", "vector"])
     def test_builtin_engines_satisfy_protocol(self, name):
         model = make_model(_tiny_instance(), kernel=name)
         assert isinstance(model, EngineProtocol)
-        assert model.kernel_name == name
+        assert model.kernel_name == kernels_mod.resolve(name)
         for attr in ("state", "orient", "stats", "options"):
             assert hasattr(model, attr)
         for method in (
@@ -183,69 +156,55 @@ class TestEngineProtocol:
 
 
 class TestPackedStateStability:
-    """The packed pair-state codec must be byte-stable: encoding the same
-    masks always yields the same bytes, and decode(encode(x)) == x for
-    every width — including bit patterns that straddle word boundaries."""
+    """The bitmask kernel's flat pair state is tracked incrementally once
+    armed; it must always equal the state rebuilt from the state arrays."""
 
-    @given(
-        data=st.data(),
-        nbits=st.integers(min_value=1, max_value=300),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_pack_unpack_roundtrip(self, data, nbits):
-        from repro.core.vector import pack_pair_state, unpack_pair_state
-
-        comp = data.draw(
-            st.integers(min_value=0, max_value=(1 << nbits) - 1)
-        )
-        cmpb = data.draw(
-            st.integers(min_value=0, max_value=(1 << nbits) - 1)
-        )
-        packed = pack_pair_state(comp, cmpb, nbits)
-        assert unpack_pair_state(packed) == (comp, cmpb)
-        again = pack_pair_state(comp, cmpb, nbits)
-        assert packed.tobytes() == again.tobytes()
-        assert packed.dtype == again.dtype
-        assert packed.shape == again.shape
-
-    @given(nbits=st.integers(min_value=1, max_value=300))
-    @settings(max_examples=40, deadline=None)
-    def test_all_ones_and_empty_are_exact(self, nbits):
-        from repro.core.vector import pack_pair_state, unpack_pair_state
-
-        full = (1 << nbits) - 1
-        assert unpack_pair_state(pack_pair_state(full, 0, nbits)) == (full, 0)
-        assert unpack_pair_state(pack_pair_state(0, full, nbits)) == (0, full)
-        assert unpack_pair_state(pack_pair_state(0, 0, nbits)) == (0, 0)
+    @staticmethod
+    def _rebuilt(model):
+        pair_bit, _ = model.pair_tables()
+        comp = cmpb = 0
+        for axis in range(model.d):
+            for u in range(model.n):
+                for v in range(u + 1, model.n):
+                    st = model.state[axis][u][v]
+                    if st == COMPONENT:
+                        comp |= pair_bit[axis][u][v]
+                    elif st == COMPARABILITY:
+                        cmpb |= pair_bit[axis][u][v]
+        return comp, cmpb
 
     def test_live_engine_state_matches_codec(self):
-        """packed_state() of a solving engine equals packing its live
-        flat masks — the codec and the incremental tracking agree."""
-        from repro.core.vector import (
-            VectorEdgeStateModel,
-            pack_pair_state,
-            unpack_pair_state,
-        )
-
-        rng = random.Random(31)
         from repro.instances.random_instances import random_instance
 
+        rng = random.Random(31)
+        moves = 0
         for _ in range(5):
             inst = random_instance(
-                rng, container=(4, 4, 5), num_boxes=6, max_width=3,
+                rng, container=(6, 6, 6), num_boxes=6, max_width=3,
                 precedence_density=0.3,
             )
-            model = VectorEdgeStateModel(inst)
+            model = BitmaskEdgeStateModel(inst)
             try:
                 model.seed()
             except Conflict:
-                pass  # root-infeasible: the partial state still packs
-            comp, cmpb = model.packed_pair_state()
-            n = len(inst.boxes)
-            nbits = model.d * (n * (n - 1) // 2)
-            packed = model.packed_state()
-            assert unpack_pair_state(packed) == (comp, cmpb)
-            assert (
-                packed.tobytes()
-                == pack_pair_state(comp, cmpb, nbits).tobytes()
-            )
+                continue  # root-infeasible: nothing to assign
+            assert model.packed_pair_state() == self._rebuilt(model)
+            marks = []
+            for _ in range(12):
+                open_pairs = list(model.undecided())
+                if not open_pairs:
+                    break
+                axis, u, v = rng.choice(open_pairs)
+                marks.append(model.mark())
+                try:
+                    model.assign_state(
+                        axis, u, v, rng.choice((COMPONENT, COMPARABILITY))
+                    )
+                except Conflict:
+                    model.rollback(marks.pop())
+                moves += 1
+                assert model.packed_pair_state() == self._rebuilt(model)
+            while marks:
+                model.rollback(marks.pop())
+                assert model.packed_pair_state() == self._rebuilt(model)
+        assert moves > 0, "every instance was root-infeasible — dead test"

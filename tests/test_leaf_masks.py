@@ -1,7 +1,7 @@
 """Equivalence of the mask-based leaf verifiers with the Graph-based ones.
 
 The search's ``_verify_leaf`` takes a bitmask fast path when the engine
-exposes adjacency masks (the bitmask and vector kernels) and the original
+exposes adjacency masks (the bitmask kernel) and the original
 Graph path otherwise (the reference kernel).  Node-for-node kernel identity
 therefore *depends* on the two implementations being boolean-equivalent:
 ``is_chordal_masks`` must agree with ``is_chordal``, and
@@ -123,10 +123,9 @@ class TestLeafPathSelection:
         inst = make_instance(
             [(2, 2, 2), (2, 2, 2)], (4, 4, 4), precedence_arcs=[(0, 1)]
         )
-        for name in ("bitmask", "vector"):
-            model = make_model(inst, kernel=name)
-            assert hasattr(model, "component_masks")
-            assert hasattr(model, "comparability_masks")
+        model = make_model(inst, kernel="bitmask")
+        assert hasattr(model, "component_masks")
+        assert hasattr(model, "comparability_masks")
         reference = make_model(inst, kernel="reference")
         assert not hasattr(reference, "component_masks")
 

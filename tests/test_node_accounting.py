@@ -27,14 +27,18 @@ from dataclasses import fields
 import pytest
 
 from repro.core import BranchAndBound, LearningOptions, SolverOptions, solve_opp
-from repro.core.bitmask import KERNELS
 from repro.core.bmp import _ProbeRunner
+from repro.core.kernels import available
 from repro.core.search import BranchingOptions, SearchStats
 from repro.instances.random_instances import random_instance
 from repro.parallel import PortfolioSolver
 from repro.parallel.faults import FaultPlan
 from repro.parallel.portfolio import PortfolioConfig
 from repro.telemetry import Telemetry
+
+#: Every registered kernel plus the ``vector`` alias, which must reconcile
+#: exactly like the kernel it names.
+KERNELS = available() + ("vector",)
 
 SEARCH_ONLY = dict(use_bounds=False, use_heuristics=False, use_annealing=False)
 

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 from repro.certify import certify_payload
 from repro.core import LearningOptions, SolverOptions, solve_opp
-from repro.core.bitmask import make_model
 from repro.core.edgestate import COMPARABILITY, COMPONENT, Conflict
+from repro.core.kernels import make_model
 from repro.core.nogoods import (
     ConflictAnalyzer,
     NogoodStore,

@@ -157,6 +157,17 @@ class TestRoundTrip:
         )
 
     @_SETTINGS
+    @given(st.one_of(solve_requests(), batch_requests()))
+    def test_vector_kernel_alias_decodes_as_bitmask(self, request):
+        # Equal decoded requests run identical solves in the daemon.
+        payload = {**request.to_dict(), "kernel": "vector"}
+        decoded = type(request).from_dict(payload)
+        assert decoded.kernel == "bitmask"
+        assert decoded == type(request).from_dict(
+            {**payload, "kernel": "bitmask"}
+        )
+
+    @_SETTINGS
     @given(solve_requests())
     def test_json_transit_preserves_equality(self, request):
         over_the_wire = json.loads(json.dumps(request.to_dict()))
