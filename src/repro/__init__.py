@@ -50,38 +50,60 @@ Main modules:
 
 __version__ = "1.2.0"
 
+from importlib import import_module
+
 from . import (
     baselines,
     certify,
     core,
-    distributed,
     fpga,
     graphs,
     heuristics,
     instances,
     io,
-    parallel,
-    runtime,
-    service,
     telemetry,
 )
 from .api import PROBLEMS, solve
 from .certify import certify_batch_dir, certify_payload
-from .client import CircuitBreaker, DeadlineExceeded, ReproClient
 from .core.deadline import Deadline
 from .core.nogoods import LearningOptions
 from .core.opp import OPPResult, SolverOptions
 from .io.backoff import BackoffPolicy
-from .distributed import (
-    DistributedOptions,
-    DistributedResult,
-    resume_distributed,
-    solve_distributed,
-)
-from .parallel.cache import ResultCache
-from .parallel.portfolio import PortfolioSolver
-from .runtime import BatchRunner, run_batch
 from .telemetry import Telemetry
+
+#: Names served by a module imported on first access.  The portfolio, the
+#: batch and distributed runtimes, the client and the service daemon pull
+#: in process pools, networking and the event loop (``multiprocessing``,
+#: ``http.client``, ``asyncio``, ``ssl``: ~8 MB resident), which
+#: ``import repro`` and ``repro.solve`` never need.
+_LAZY = {
+    "client": ".client",
+    "distributed": ".distributed",
+    "parallel": ".parallel",
+    "runtime": ".runtime",
+    "service": ".service",
+    "ReproClient": ".client",
+    "CircuitBreaker": ".client",
+    "DeadlineExceeded": ".client",
+    "ResultCache": ".parallel.cache",
+    "PortfolioSolver": ".parallel.portfolio",
+    "BatchRunner": ".runtime",
+    "run_batch": ".runtime",
+    "DistributedOptions": ".distributed",
+    "DistributedResult": ".distributed",
+    "solve_distributed": ".distributed",
+    "resume_distributed": ".distributed",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(_LAZY[name], __name__)
+    value = module if module.__name__ == f"{__name__}.{name}" else getattr(module, name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     # the facade

@@ -100,9 +100,7 @@ def _canonical_problem(problem: str) -> str:
 
 
 def _is_task_graph(instance: Any) -> bool:
-    return hasattr(instance, "boxes") and callable(instance.boxes) and hasattr(
-        instance, "dependency_dag"
-    )
+    return callable(getattr(instance, "packing_view", None))
 
 
 def _as_boxes_precedence(instance: Any) -> Tuple[list, Optional[Any]]:
@@ -110,9 +108,7 @@ def _as_boxes_precedence(instance: Any) -> Tuple[list, Optional[Any]]:
     if isinstance(instance, PackingInstance):
         return list(instance.boxes), instance.precedence
     if _is_task_graph(instance):
-        return instance.boxes(), (
-            instance.dependency_dag() if instance.arcs() else None
-        )
+        return instance.packing_view()
     if isinstance(instance, tuple) and len(instance) == 2:
         boxes, precedence = instance
         return list(boxes), precedence
@@ -350,11 +346,18 @@ def solve(
             portfolio.close()
 
 
-# The batch runtime's facade rides along here: ``run_batch`` drives many
-# instances through the same solvers under crash-safe journaling, and its
-# per-instance results follow the common result protocol above (each
-# ``done`` journal record carries the status, witness, and certification
-# verdict).  See :mod:`repro.runtime`.
-from .runtime import run_batch  # noqa: E402  (re-export, after the facade)
+def __getattr__(name: str) -> Any:
+    # The batch runtime's facade rides along here: ``run_batch`` drives many
+    # instances through the same solvers under crash-safe journaling, and
+    # its per-instance results follow the common result protocol above (each
+    # ``done`` journal record carries the status, witness, and certification
+    # verdict).  See :mod:`repro.runtime`.  Imported on first use: the
+    # runtime loads ``multiprocessing``, which a plain solve never needs.
+    if name == "run_batch":
+        from .runtime import run_batch
+
+        return run_batch
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = ["PROBLEMS", "run_batch", "solve"]

@@ -253,6 +253,8 @@ class _ProbeRunner:
 class Probe:
     """One OPP decision made during an optimization run."""
 
+    __slots__ = ("value", "status", "seconds", "stage", "nodes")
+
     value: int
     status: str
     seconds: float

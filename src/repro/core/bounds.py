@@ -10,15 +10,15 @@ bounds are silent.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from operator import mul
+from typing import List, Optional, Sequence, Tuple
 
 from ..graphs.cliques import max_weight_clique
 from ..graphs.graph import Graph
 from .boxes import PackingInstance
-from .dff import default_family
-
-ONE = Fraction(1)
+from .dff import DFF, default_family
 
 
 def oversized_box_bound(instance: PackingInstance) -> Optional[str]:
@@ -56,14 +56,11 @@ def dff_volume_bound(
     time, which is where the power of the family lives).
     """
     d = instance.dimensions
-    normalized = [
-        [
-            Fraction(box.widths[axis], instance.container.sizes[axis])
-            for box in instance.boxes
-        ]
+    tables = [
+        _dff_table(instance.widths_along(axis), instance.container.sizes[axis])
         for axis in range(d)
     ]
-    families = [default_family(normalized[axis]) for axis in range(d)]
+    families = [family for family, _, _ in tables]
     identity_index = 0
 
     combos = []
@@ -79,26 +76,47 @@ def dff_volume_bound(
             combo = [identity_index] * d
             combo[axis] = fa
             combos.append(tuple(combo))
+    one = math.prod(den for _, _, den in tables)
     seen = set()
     for combo in combos[:max_combinations]:
         if combo in seen:
             continue
         seen.add(combo)
-        total = Fraction(0)
-        for b in range(instance.n):
-            term = ONE
-            for axis in range(d):
-                term *= families[axis][combo[axis]](normalized[axis][b])
-                if term == 0:
-                    break
-            total += term
-        if total > ONE:
+        products = tables[0][1][combo[0]]
+        for axis in range(1, d):
+            products = map(mul, products, tables[axis][1][combo[axis]])
+        scaled = sum(products)
+        if scaled > one:
             names = [families[axis][combo[axis]].__name__ for axis in range(d)]
             return (
                 f"DFF volume bound exceeded: combination {names} gives "
-                f"transformed volume {total} > 1"
+                f"transformed volume {Fraction(scaled, one)} > 1"
             )
     return None
+
+
+def _dff_table(
+    widths: Sequence[int], size: int
+) -> Tuple[List[DFF], List[List[int]], int]:
+    """One axis of a DFF bound in exact integers.
+
+    Returns the DFF family of the normalized widths ``x_b = widths[b] /
+    size``, one row of scaled images per member, and their common
+    denominator ``den``: ``rows[f][b] / den == family[f](x_b)``.  Each
+    member is applied once per distinct width, and a combination's
+    transformed volume becomes an integer sum of products over the rows,
+    compared against the product of the axes' denominators.
+    """
+    values = [Fraction(w, size) for w in widths]
+    family = default_family(values)
+    distinct = set(values)
+    images = [{x: f(x) for x in distinct} for f in family]
+    den = math.lcm(*(y.denominator for image in images for y in image.values()))
+    rows = []
+    for image in images:
+        scaled = {x: y.numerator * den // y.denominator for x, y in image.items()}
+        rows.append([scaled[x] for x in values])
+    return family, rows, den
 
 
 def critical_path_bound(instance: PackingInstance) -> Optional[str]:
@@ -131,18 +149,10 @@ def spatial_conflict_bound(instance: PackingInstance) -> Optional[str]:
     spatial_axes = [a for a in range(instance.dimensions) if a != time_axis]
     if not spatial_axes:
         return None
-    g = Graph(instance.n)
-    for u in range(instance.n):
-        for v in range(u + 1, instance.n):
-            exclusive = all(
-                instance.boxes[u].widths[a] + instance.boxes[v].widths[a]
-                > instance.container.sizes[a]
-                for a in spatial_axes
-            )
-            if exclusive:
-                g.add_edge(u, v)
     durations = instance.widths_along(time_axis)
-    weight, clique = max_weight_clique(g, durations)
+    weight, clique = max_weight_clique(
+        _spatial_conflict_graph(instance), durations
+    )
     limit = instance.container.sizes[time_axis]
     if weight > limit:
         return (
@@ -299,26 +309,24 @@ def _spatial_dff_overflow(
     instance: PackingInstance, live: List[int], spatial_axes: List[int]
 ) -> Optional[str]:
     """2-D DFF volume argument over a set of simultaneously live boxes."""
-    normalized = {
-        axis: [
-            Fraction(instance.boxes[v].widths[axis], instance.container.sizes[axis])
-            for v in live
-        ]
-        for axis in spatial_axes
-    }
-    families = {
-        axis: default_family(normalized[axis]) for axis in spatial_axes
-    }
     ax0, ax1 = spatial_axes[0], spatial_axes[-1]
-    for f in families[ax0]:
-        for g in families[ax1]:
-            total = Fraction(0)
-            for i, _v in enumerate(live):
-                total += f(normalized[ax0][i]) * g(normalized[ax1][i])
-            if total > ONE:
+    tables = {
+        axis: _dff_table(
+            [instance.boxes[v].widths[axis] for v in live],
+            instance.container.sizes[axis],
+        )
+        for axis in (ax0, ax1)
+    }
+    family0, rows0, den0 = tables[ax0]
+    family1, rows1, den1 = tables[ax1]
+    one = den0 * den1
+    for f, row_f in zip(family0, rows0):
+        for g, row_g in zip(family1, rows1):
+            scaled = sum(map(mul, row_f, row_g))
+            if scaled > one:
                 return (
                     f"2-D DFF bound ({f.__name__}, {g.__name__}) gives "
-                    f"transformed area {total} > 1"
+                    f"transformed area {Fraction(scaled, one)} > 1"
                 )
     return None
 
@@ -383,16 +391,10 @@ def makespan_lower_bound(instance: PackingInstance) -> int:
     if instance.precedence is not None:
         durations = [float(w) for w in instance.widths_along(time_axis)]
         bounds.append(int(instance.precedence.critical_path_length(durations)))
-    # Sequential cliques.
-    g = Graph(instance.n)
-    for u in range(instance.n):
-        for v in range(u + 1, instance.n):
-            if all(
-                instance.boxes[u].widths[a] + instance.boxes[v].widths[a]
-                > instance.container.sizes[a]
-                for a in spatial_axes
-            ):
-                g.add_edge(u, v)
-    weight, _ = max_weight_clique(g, instance.widths_along(time_axis))
+    # Sequential cliques.  Without spatial axes the conflict graph is empty;
+    # the volume term above then already equals the all-pairs clique.
+    weight, _ = max_weight_clique(
+        _spatial_conflict_graph(instance), instance.widths_along(time_axis)
+    )
     bounds.append(int(weight))
     return max(bounds)

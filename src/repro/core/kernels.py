@@ -154,6 +154,8 @@ def resolve(name: str) -> str:
     Raises :class:`UnknownKernelError` (a :class:`ValueError`) for
     anything else, listing the names that would work.
     """
+    if name in _registry:
+        return name  # discovery never replaces a registered name
     _load_entry_points()
     if name in _registry:
         return name

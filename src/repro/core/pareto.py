@@ -9,7 +9,7 @@ with the precedence constraints (solid) and ignoring them (dashed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .._compat import keyword_only
 from ..graphs.digraph import DiGraph
@@ -177,6 +177,9 @@ def _pareto_front(
     )
     floor = floor_result.optimum if floor_result.status == OPTIMAL else None
 
+    # The front keeps one witness per latency step, and the witnesses of a
+    # sweep mostly repeat the same anchor positions: share equal tuples.
+    anchors: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     previous_side: Optional[int] = None
     for t in range(t_min, max_time + 1):
         result = minimize_base(
@@ -190,6 +193,10 @@ def _pareto_front(
             _runner=runner,
         )
         front.results.append(result)
+        if result.placement is not None:
+            result.placement.positions = [
+                anchors.setdefault(p, p) for p in result.placement.positions
+            ]
         if runner.deadline_hit:
             break  # out of end-to-end time: keep the exact prefix
         if result.status != OPTIMAL:

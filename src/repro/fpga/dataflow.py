@@ -10,7 +10,7 @@ input".
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.boxes import Box, PackingInstance
 from ..graphs.digraph import DiGraph
@@ -29,6 +29,7 @@ class TaskGraph:
         self.tasks: List[Task] = []
         self._index: Dict[str, int] = {}
         self._arcs: List[Tuple[int, int]] = []
+        self._shared_dag: Optional[DiGraph] = None  # see packing_view()
 
     # -- construction ------------------------------------------------------
 
@@ -38,6 +39,7 @@ class TaskGraph:
         task = Task(name, module)
         self._index[name] = len(self.tasks)
         self.tasks.append(task)
+        self._shared_dag = None
         return task
 
     def add_dependency(self, producer: TaskRef, consumer: TaskRef) -> None:
@@ -48,6 +50,7 @@ class TaskGraph:
             raise ValueError("a task cannot depend on itself")
         if (u, v) not in self._arcs:
             self._arcs.append((u, v))
+            self._shared_dag = None
         if not self.dependency_dag().is_acyclic():
             self._arcs.remove((u, v))
             raise ValueError(
@@ -91,6 +94,21 @@ class TaskGraph:
 
     def boxes(self) -> List[Box]:
         return [t.box() for t in self.tasks]
+
+    def packing_view(self) -> Tuple[List[Box], Optional[DiGraph]]:
+        """``(boxes, precedence)`` for solving this graph (``precedence`` is
+        ``None`` without arcs).
+
+        The DAG is built once per revision of the graph and shared by every
+        solve of it, so results reference one DAG, as results of a
+        :class:`PackingInstance` reference its own.  Treat it as read-only;
+        :meth:`dependency_dag` returns a private copy.
+        """
+        if not self._arcs:
+            return self.boxes(), None
+        if self._shared_dag is None:
+            self._shared_dag = self.dependency_dag()
+        return self.boxes(), self._shared_dag
 
     def durations(self) -> List[int]:
         return [t.duration for t in self.tasks]

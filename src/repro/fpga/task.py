@@ -8,7 +8,7 @@ separate multiplications, each a 16×16×2 box).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..core.boxes import Box
 from .module_library import ModuleType
@@ -20,10 +20,14 @@ class Task:
 
     name: str
     module: ModuleType
+    #: The task's space-time box, built once: tasks and module types are
+    #: immutable, so every packing instance of the graph shares it.
+    _box: Box = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tasks need a non-empty name")
+        object.__setattr__(self, "_box", self.module.box(instance_name=self.name))
 
     @property
     def width(self) -> int:
@@ -38,7 +42,7 @@ class Task:
         return self.module.total_time
 
     def box(self) -> Box:
-        return self.module.box(instance_name=self.name)
+        return self._box
 
     def __str__(self) -> str:
         return f"{self.name}:{self.module.name}"

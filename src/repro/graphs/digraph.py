@@ -9,9 +9,17 @@ weighted paths (the critical-path lower bound on the schedule length).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
+    Set, Tuple,
+)
 
 Arc = Tuple[int, int]
+
+#: The shared adjacency of a vertex without arcs in that direction; a vertex
+#: gets its own set with its first arc.  An empty ``set`` costs ~200 bytes,
+#: and most vertices of a precedence DAG are sources or sinks.
+_NO_ARCS: FrozenSet[int] = frozenset()
 
 
 class CycleError(ValueError):
@@ -31,8 +39,8 @@ class DiGraph:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
-        self.succ: List[Set[int]] = [set() for _ in range(n)]
-        self.pred: List[Set[int]] = [set() for _ in range(n)]
+        self.succ: List[AbstractSet[int]] = [_NO_ARCS] * n
+        self.pred: List[AbstractSet[int]] = [_NO_ARCS] * n
         for u, v in arcs:
             self.add_arc(u, v)
 
@@ -42,15 +50,14 @@ class DiGraph:
         self._check_vertex(v)
         if u == v:
             raise ValueError(f"self-loop on vertex {u} is not a valid arc")
-        self.succ[u].add(v)
-        self.pred[v].add(u)
+        _link(self.succ, u, v)
+        _link(self.pred, v, u)
 
     def remove_arc(self, u: int, v: int) -> None:
-        try:
-            self.succ[u].remove(v)
-            self.pred[v].remove(u)
-        except KeyError as exc:
-            raise KeyError(f"arc ({u}, {v}) not in graph") from exc
+        if v not in self.succ[u]:
+            raise KeyError(f"arc ({u}, {v}) not in graph")
+        self.succ[u].remove(v)
+        self.pred[v].remove(u)
 
     def has_arc(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -67,8 +74,8 @@ class DiGraph:
 
     def copy(self) -> "DiGraph":
         g = DiGraph(self.n)
-        g.succ = [set(s) for s in self.succ]
-        g.pred = [set(p) for p in self.pred]
+        g.succ = [set(s) if s else _NO_ARCS for s in self.succ]
+        g.pred = [set(p) if p else _NO_ARCS for p in self.pred]
         return g
 
     def vertices(self) -> range:
@@ -207,3 +214,10 @@ class DiGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DiGraph(n={self.n}, arcs={sorted(self.arcs())})"
+
+
+def _link(adjacency: List[AbstractSet[int]], u: int, v: int) -> None:
+    if adjacency[u]:
+        adjacency[u].add(v)  # type: ignore[union-attr]
+    else:
+        adjacency[u] = {v}

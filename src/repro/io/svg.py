@@ -11,7 +11,6 @@ reports or viewing in a browser.  Two renderers:
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
-from xml.sax.saxutils import escape
 
 from ..fpga.schedule import ReconfigurationSchedule
 
@@ -21,6 +20,13 @@ PALETTE = [
     "#D55E00", "#F0E442", "#999999", "#7550A0", "#2E8B57",
     "#B22222", "#4682B4", "#DAA520", "#708090", "#8FBC8F", "#C71585",
 ]
+
+
+def escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text, as
+    ``xml.sax.saxutils.escape`` does; importing that module loads
+    ``urllib.request`` and ``http.client`` with it."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _task_colors(schedule: ReconfigurationSchedule) -> dict:

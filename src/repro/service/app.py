@@ -363,7 +363,16 @@ class SolverService:
         body: Dict[str, Any],
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        payload = (dumps_canonical(body) + "\n").encode("utf-8")
+        await self._send_encoded(writer, status, dumps_canonical(body), headers)
+
+    async def _send_encoded(
+        self,
+        writer: asyncio.StreamWriter,
+        status: int,
+        body: str,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        payload = (body + "\n").encode("utf-8")
         head = [
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
             "Content-Type: application/json",
@@ -434,7 +443,7 @@ class SolverService:
             return
         if path.startswith("/v1/status/") and method == "GET":
             job = self._job_or_404(path[len("/v1/status/"):])
-            await self._send(writer, 200, job.snapshot())
+            await self._send_encoded(writer, 200, job.status_payload())
             return
         if path.startswith("/v1/stream/") and method == "GET":
             job = self._job_or_404(path[len("/v1/stream/"):])
@@ -492,7 +501,7 @@ class SolverService:
         runner = self._run_job(job, ticket, deadline)
         if request.wait:
             await runner
-            await self._send(writer, 200, job.snapshot())
+            await self._send_encoded(writer, 200, job.status_payload())
         else:
             self._spawn(runner)
             await self._send(

@@ -27,11 +27,17 @@ checkpoints — see :mod:`repro.service.app`).
 Jobs also fan out **live progress events** to any number of SSE
 subscribers: each subscriber owns an :class:`asyncio.Queue` that
 :meth:`JobStore.publish` feeds from whatever thread the work runs on.
+
+A job that reaches a terminal state is **frozen**: the store keeps only its
+canonical status payload (the exact bytes ``/v1/status/<job>`` serves) and
+its encoded event list, and drops the request, response and event dicts —
+a long-running daemon retains every job it has seen.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import re
 import time
@@ -39,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..io.journal import JournalWriter, read_journal
+from .protocol import dumps_canonical
 
 #: File name of the service journal inside the state directory.
 SERVICE_JOURNAL = "service.jsonl"
@@ -69,7 +76,7 @@ class Job:
     job_id: str
     kind: str  # "solve" | "batch" | "certify"
     tenant: str
-    request: Dict[str, Any]  # the wire request, verbatim
+    request: Optional[Dict[str, Any]]  # the wire request, verbatim
     state: str = "queued"  # queued | running | done | failed
     response: Optional[Dict[str, Any]] = None  # the terminal wire payload
     error: Optional[str] = None
@@ -80,15 +87,37 @@ class Job:
     replayed: bool = False  # reconstructed from the journal on resume
     events: List[Dict[str, Any]] = field(default_factory=list)
     subscribers: List[Tuple[asyncio.Queue, Any]] = field(default_factory=list)
+    #: Set by :meth:`freeze`: the encoded status body and event list.
+    frozen_status: Optional[str] = None
+    frozen_events: Optional[str] = None
 
     @property
     def terminal(self) -> bool:
         return self.state in ("done", "failed")
 
+    def freeze(self) -> None:
+        """Keep a terminal job in encoded form only."""
+        self.frozen_status = dumps_canonical(self.snapshot())
+        self.frozen_events = dumps_canonical(self.events)
+        self.request = self.response = None
+        self.events = []
+
+    def status_payload(self) -> str:
+        """The ``/v1/status/<job>`` body, canonically encoded."""
+        if self.frozen_status is not None:
+            return self.frozen_status
+        return dumps_canonical(self.snapshot())
+
+    def past_events(self) -> List[Dict[str, Any]]:
+        """Every event published so far, in order (decoded when frozen)."""
+        if self.frozen_events is not None:
+            return json.loads(self.frozen_events)
+        return list(self.events)
+
     def snapshot(self) -> Dict[str, Any]:
-        """The ``/v1/status/<job>`` body.  For terminal jobs this is exactly
-        the dict that was journaled, so a resumed daemon re-reports it
-        verbatim."""
+        """The ``/v1/status/<job>`` body of a job not yet frozen.  For
+        terminal jobs this is exactly the dict that was journaled, so a
+        resumed daemon re-reports it verbatim."""
         body: Dict[str, Any] = {
             "job": self.job_id,
             "kind": self.kind,
@@ -188,7 +217,9 @@ class JobStore:
                 job.error = data.get("error")
                 job.elapsed = data.get("elapsed", 0.0)
         for job in self.jobs.values():
-            if not job.terminal:
+            if job.terminal:
+                job.freeze()
+            else:
                 job.state = "queued"
                 self.pending.append(job)
 
@@ -222,6 +253,7 @@ class JobStore:
         self._writer.append("done", job.job_id, job.terminal_record())
         self.publish(job, {"event": "done", "job": job.job_id})
         self.end_stream(job)
+        job.freeze()
 
     def fail(self, job: Job, error: str) -> None:
         job.state = "failed"
@@ -230,6 +262,7 @@ class JobStore:
         self._writer.append("failed", job.job_id, job.terminal_record())
         self.publish(job, {"event": "failed", "job": job.job_id, "error": error})
         self.end_stream(job)
+        job.freeze()
 
     def _seal(self, job: Job) -> None:
         job.finished = time.time()
@@ -248,7 +281,7 @@ class JobStore:
         """A queue of this job's events: every past event immediately, live
         ones as they happen, then :data:`STREAM_END`."""
         queue: asyncio.Queue = asyncio.Queue()
-        for event in job.events:
+        for event in job.past_events():
             queue.put_nowait(event)
         if job.terminal:
             queue.put_nowait(STREAM_END)

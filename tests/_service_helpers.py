@@ -98,8 +98,8 @@ class ServiceThread:
 # ---------------------------------------------------------------------------
 
 
-def request_json(port, method, path, payload=None, timeout=120.0):
-    """One HTTP exchange; returns ``(status, decoded_body, headers)``."""
+def request_bytes(port, method, path, payload=None, timeout=120.0):
+    """One HTTP exchange; returns ``(status, raw_body, headers)``."""
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
     try:
         body = None
@@ -110,9 +110,34 @@ def request_json(port, method, path, payload=None, timeout=120.0):
         conn.request(method, path, body=body, headers=headers)
         response = conn.getresponse()
         raw = response.read()
-        return response.status, json.loads(raw), dict(response.getheaders())
+        return response.status, raw, dict(response.getheaders())
     finally:
         conn.close()
+
+
+def request_json(port, method, path, payload=None, timeout=120.0):
+    """One HTTP exchange; returns ``(status, decoded_body, headers)``."""
+    status, raw, headers = request_bytes(port, method, path, payload, timeout)
+    return status, json.loads(raw), headers
+
+
+def journaled_status_body(state_dir, job_id, replayed):
+    """The exact ``/v1/status/<job>`` bytes of a terminal job, rebuilt from
+    its terminal record in the service journal."""
+    from repro.io.journal import read_journal
+    from repro.service.jobs import JOB_RECORD_KINDS, JOB_TERMINAL_KINDS, SERVICE_JOURNAL
+    from repro.service.protocol import dumps_canonical
+
+    records = read_journal(
+        os.path.join(str(state_dir), SERVICE_JOURNAL), kinds=JOB_RECORD_KINDS
+    ).records
+    (data,) = [
+        r["data"] for r in records
+        if r["id"] == job_id and r["kind"] in JOB_TERMINAL_KINDS
+    ]
+    body = {k: v for k, v in data.items() if v is not None}
+    body.update(job=job_id, replayed=replayed)
+    return (dumps_canonical(body) + "\n").encode("utf-8")
 
 
 def read_sse(port, job_id, timeout=120.0):

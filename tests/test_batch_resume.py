@@ -23,7 +23,6 @@ import time
 
 import pytest
 
-from repro.core.boxes import make_instance
 from repro.instances import random_feasible_instance
 from repro.io.journal import JOURNAL_NAME, TERMINAL_KINDS, read_journal
 from repro.io.serialize import instance_to_dict
@@ -35,11 +34,11 @@ REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 def _instances():
     """12 deterministic instances, ~0.3 s of serial solving total — long
     enough that a randomized kill lands mid-batch, short enough to afford
-    dozens of chaos iterations."""
-    hard = make_instance(
-        [(4, 4, 2), (3, 1, 1), (3, 3, 1), (1, 2, 1), (4, 4, 1), (1, 2, 1)],
-        (4, 4, 4),
-        [(3, 4), (5, 4)],
+    dozens of chaos iterations.  The repeated instance needs ~1200 search
+    nodes, so the total rests on the search, not on how fast the bounds
+    run."""
+    hard, _ = random_feasible_instance(
+        random.Random(0), (5, 5, 5), 10, precedence_density=0.3
     )
     pairs = []
     for i in range(6):

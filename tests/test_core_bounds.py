@@ -1,15 +1,19 @@
 """Unit tests for the lower-bound machinery and dual feasible functions."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from repro.core import make_instance
+from repro.core import bounds, make_instance
+from repro.core.boxes import Box, Container, PackingInstance
 from repro.core.bounds import (
     conflict_schedule_bound,
     critical_path_bound,
     dff_volume_bound,
     makespan_lower_bound,
+    mandatory_overlap_bound,
     oversized_box_bound,
     prove_infeasible,
     spatial_conflict_bound,
@@ -22,6 +26,7 @@ from repro.core.dff import (
     make_f0,
     make_u_k,
 )
+from repro.graphs.digraph import DiGraph
 
 
 class TestDFFs:
@@ -181,3 +186,156 @@ class TestProveInfeasible:
     def test_returns_first_certificate(self):
         inst = make_instance([(5, 1, 1)], (4, 4, 4))
         assert "exceeds the container" in prove_infeasible(inst)
+
+
+# -- integer DFF kernel vs. the Fraction loops it replaced -------------------
+
+
+def _reference_dff_volume_bound(instance, max_combinations=2000):
+    """The original ``Fraction`` evaluation of :func:`dff_volume_bound`."""
+    d = instance.dimensions
+    normalized = [
+        [
+            Fraction(box.widths[axis], instance.container.sizes[axis])
+            for box in instance.boxes
+        ]
+        for axis in range(d)
+    ]
+    families = [default_family(normalized[axis]) for axis in range(d)]
+    combos = []
+    for axes in itertools.combinations(range(d), 2):
+        for fa in range(len(families[axes[0]])):
+            for fb in range(len(families[axes[1]])):
+                combo = [0] * d
+                combo[axes[0]] = fa
+                combo[axes[1]] = fb
+                combos.append(tuple(combo))
+    for axis in range(d):
+        for fa in range(len(families[axis])):
+            combo = [0] * d
+            combo[axis] = fa
+            combos.append(tuple(combo))
+    seen = set()
+    for combo in combos[:max_combinations]:
+        if combo in seen:
+            continue
+        seen.add(combo)
+        total = Fraction(0)
+        for b in range(instance.n):
+            term = Fraction(1)
+            for axis in range(d):
+                term *= families[axis][combo[axis]](normalized[axis][b])
+            total += term
+        if total > 1:
+            names = [families[axis][combo[axis]].__name__ for axis in range(d)]
+            return (
+                f"DFF volume bound exceeded: combination {names} gives "
+                f"transformed volume {total} > 1"
+            )
+    return None
+
+
+def _reference_spatial_dff_overflow(instance, live, spatial_axes):
+    """The original ``Fraction`` evaluation of ``_spatial_dff_overflow``."""
+    normalized = {
+        axis: [
+            Fraction(instance.boxes[v].widths[axis], instance.container.sizes[axis])
+            for v in live
+        ]
+        for axis in spatial_axes
+    }
+    families = {axis: default_family(normalized[axis]) for axis in spatial_axes}
+    ax0, ax1 = spatial_axes[0], spatial_axes[-1]
+    for f in families[ax0]:
+        for g in families[ax1]:
+            total = Fraction(0)
+            for i in range(len(live)):
+                total += f(normalized[ax0][i]) * g(normalized[ax1][i])
+            if total > 1:
+                return (
+                    f"2-D DFF bound ({f.__name__}, {g.__name__}) gives "
+                    f"transformed area {total} > 1"
+                )
+    return None
+
+
+def _random_instances(seed, d, count):
+    """Seeded instances with time axis last and a precedence DAG whose
+    critical path leaves at most two cycles of slack, so that tasks are
+    forced to overlap.  Spatial widths lean on just over half the chip,
+    where the staircase DFFs round up."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        sizes = [rng.randint(4, 16) for _ in range(d - 1)]
+        n = rng.randint(3, 10)
+        widths = [
+            [rng.choice((rng.randint(1, s), s // 2 + 1)) for s in sizes]
+            + [rng.randint(1, 4)]
+            for _ in range(n)
+        ]
+        dag = DiGraph(
+            n,
+            [
+                (u, v)
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < 0.3
+            ],
+        )
+        path = int(dag.critical_path_length([w[-1] for w in widths]))
+        container = Container(sizes + [path + rng.randint(0, 2)])
+        yield PackingInstance([Box(w) for w in widths], container, dag, d - 1)
+
+
+class TestIntegerDFFKernel:
+    """The integer-table DFF bounds return byte-identical certificates (or
+    ``None``) to the ``Fraction`` loops they replaced."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_dff_volume_bound_matches_fraction_loops(self, d):
+        proved = 0
+        for instance in _random_instances(100 + d, d, 25):
+            expected = _reference_dff_volume_bound(instance)
+            assert dff_volume_bound(instance) == expected
+            proved += expected is not None
+        assert 0 < proved < 25
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_mandatory_overlap_bound_matches_fraction_loops(
+        self, d, monkeypatch
+    ):
+        instances = list(_random_instances(200 + d, d, 60))
+        actual = [mandatory_overlap_bound(inst) for inst in instances]
+        spatial_proofs = []
+        reference = bounds._spatial_dff_overflow
+
+        def counting_reference(instance, live, spatial_axes):
+            certificate = _reference_spatial_dff_overflow(
+                instance, live, spatial_axes
+            )
+            assert reference(instance, live, spatial_axes) == certificate
+            spatial_proofs.append(certificate is not None)
+            return certificate
+
+        monkeypatch.setattr(bounds, "_spatial_dff_overflow", counting_reference)
+        expected = [mandatory_overlap_bound(inst) for inst in instances]
+        assert actual == expected
+        assert spatial_proofs and not all(spatial_proofs)
+        # With one spatial axis the footprint check subsumes the DFF
+        # argument (g <= 1, so sum f(x) g(x) <= sum f(x) <= 1).
+        assert any(spatial_proofs) or d == 2
+
+    def test_combination_cap_truncates_identically(self):
+        # Three boxes over half the chip on axes 1 and 2 are only refuted
+        # by u_1 on both of those axes.  Thirty fillers with distinct
+        # widths <= 1/2 on axes 0 and 2 give those axes 43 family members
+        # each, so the (0, 1) and (0, 2) pairs fill the first 2000
+        # combinations and the refuting (1, 2) pair lies beyond the cap.
+        widths = [(32, 33, 33)] * 3 + [(i, 1, 31 - i) for i in range(1, 31)]
+        instance = make_instance(widths, (64, 64, 64))
+        assert dff_volume_bound(instance) is None
+        assert _reference_dff_volume_bound(instance) is None
+        assert dff_volume_bound(instance, max_combinations=10**6) == (
+            "DFF volume bound exceeded: combination ['identity', 'u_1', "
+            "'u_1'] gives transformed volume 3/2 > 1"
+        )

@@ -18,8 +18,10 @@ from repro.service.protocol import dumps_canonical, solve_answer
 from tests._service_helpers import (
     ServiceThread,
     iso_variant,
+    journaled_status_body,
     precedence_instance,
     read_sse,
+    request_bytes,
     request_json,
     small_instance,
     solve_payload,
@@ -116,6 +118,60 @@ class TestSolveParity:
         assert second["response"]["cache_hit"] is True
         assert _http_answer(first) == _http_answer(second)
         assert _http_answer(first) == _expected_answer(instance)
+
+
+class TestFrozenJobs:
+    """Terminal jobs are kept encoded; what they serve must not change."""
+
+    def test_status_and_wait_bodies_are_the_journaled_record(self, tmp_path):
+        with ServiceThread(tmp_path) as st:
+            status, waited, _ = request_bytes(
+                st.port, "POST", "/v1/solve", solve_payload(small_instance())
+            )
+            assert status == 200
+            job = json.loads(waited)["job"]
+            polled = request_bytes(st.port, "GET", f"/v1/status/{job}")[1]
+            stored = st.service.jobs.jobs[job]
+            assert stored.request is None and stored.response is None
+        expected = journaled_status_body(tmp_path, job, replayed=False)
+        assert waited == expected
+        assert polled == expected
+
+    def test_sse_replay_matches_live_subscriber(self, tmp_path):
+        gate = threading.Event()
+        live = {}
+        with ServiceThread(tmp_path, workers=1) as st:
+            # Hold the only executor thread so the job cannot finish
+            # before the live subscriber is attached.
+            st.service.executor.submit(gate.wait, 60)
+            try:
+                job = request_json(
+                    st.port, "POST", "/v1/solve",
+                    solve_payload(small_instance(), wait=False),
+                )[1]["job"]
+                reader = threading.Thread(
+                    target=lambda: live.update(
+                        stream=read_sse(st.port, job)
+                    )
+                )
+                reader.start()
+                wait_until(
+                    lambda: st.service.jobs.jobs[job].subscribers,
+                    message="a live subscriber",
+                )
+            finally:
+                gate.set()
+            reader.join(timeout=60)
+            assert not reader.is_alive()
+            replay = read_sse(st.port, job)
+            assert st.service.jobs.jobs[job].frozen_events is not None
+        events, ended = live["stream"]
+        assert ended and replay[1]
+        kinds = [e["event"] for e in events]
+        assert kinds[:2] == ["queued", "running"] and kinds[-1] == "done"
+        assert [dumps_canonical(e) for e in replay[0]] == [
+            dumps_canonical(e) for e in events
+        ]
 
 
 class TestAsyncJobs:

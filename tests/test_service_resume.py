@@ -23,6 +23,7 @@ This extends the seeded chaos pattern of tests/test_batch_resume.py — a
 few fast seeds in tier 1, an extended sweep behind ``-m slow``.
 """
 
+import json
 import random
 import signal
 import time
@@ -35,6 +36,8 @@ from repro.runtime import ManifestEntry, run_batch
 from repro.service.jobs import JOB_RECORD_KINDS, JOB_TERMINAL_KINDS, SERVICE_JOURNAL
 from repro.service.protocol import dumps_canonical
 from tests._service_helpers import (
+    journaled_status_body,
+    request_bytes,
     request_json,
     small_instance,
     solve_payload,
@@ -223,6 +226,38 @@ class TestTerminalReplay:
             # never moved.
             snapshot = request_json(port, "GET", "/v1/status")[1]
             assert "service.solves" not in snapshot["metrics"]["counters"]
+            code, stderr = _shutdown(proc, port)
+            assert code == 0, stderr.decode()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=60)
+
+    def test_frozen_status_bytes_survive_resume(self, tmp_path):
+        """The ``wait: true`` reply, the status body before the kill and
+        the status body after ``--resume`` are all byte-equal to the
+        journaled terminal record (only ``replayed`` flips)."""
+        state = tmp_path / "state"
+        proc = spawn_serve(state)
+        try:
+            port = wait_for_port(proc)
+            waited = request_bytes(
+                port, "POST", "/v1/solve", solve_payload(small_instance())
+            )[1]
+            job = json.loads(waited)["job"]
+            polled = request_bytes(port, "GET", f"/v1/status/{job}")[1]
+            proc.kill()
+        finally:
+            proc.wait(timeout=60)
+        live = journaled_status_body(state, job, replayed=False)
+        assert waited == live
+        assert polled == live
+
+        proc = spawn_serve(state, "--resume")
+        try:
+            port = wait_for_port(proc)
+            resumed = request_bytes(port, "GET", f"/v1/status/{job}")[1]
+            assert resumed == journaled_status_body(state, job, replayed=True)
             code, stderr = _shutdown(proc, port)
             assert code == 0, stderr.decode()
         finally:
