@@ -46,7 +46,7 @@ def case_instances():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_packing_class_solver(benchmark, case_instances, name):
     inst = case_instances[name]
-    result = benchmark(lambda: solve_opp(inst, SEARCH_ONLY))
+    result = benchmark(lambda: solve_opp(inst, options=SEARCH_ONLY))
     assert result.status == "sat"
     benchmark.extra_info["nodes"] = result.stats.nodes
 
@@ -75,7 +75,7 @@ def test_baselines_time_out_on_real_de_instance(de_graph):
     from repro.fpga import square_chip
 
     inst = de_graph.to_instance(square_chip(16), 14)
-    ours = solve_opp(inst, SEARCH_ONLY)
+    ours = solve_opp(inst, options=SEARCH_ONLY)
     assert ours.status == "sat"
     geometric = solve_opp_geometric(inst, time_limit=5.0)
     grid = solve_opp_grid(inst, time_limit=5.0)

@@ -55,7 +55,7 @@ def test_with_implication_engine(benchmark, instances, name):
     inst = instances[name]
 
     def run():
-        return solve_opp(inst, SEARCH_ONLY)
+        return solve_opp(inst, options=SEARCH_ONLY)
 
     result = benchmark(run)
     assert result.status == "sat"
@@ -80,7 +80,7 @@ def test_leaf_only_orientation_exhausts_budget(instances, name):
     """On the tighter design points the leaf-only variant blows past a
     5-second budget that the full engine beats by ~50x."""
     inst = instances[name]
-    with_engine = solve_opp(inst, SEARCH_ONLY)
+    with_engine = solve_opp(inst, options=SEARCH_ONLY)
     assert with_engine.status == "sat"
     assert with_engine.stats.elapsed < 2.5
     budgeted = SolverOptions(
@@ -94,7 +94,7 @@ def test_leaf_only_orientation_exhausts_budget(instances, name):
 def test_tree_size_comparison(instances):
     """The headline number: in-tree D1/D2 shrinks the tree."""
     inst = instances["mini_de_t14"]
-    with_engine = solve_opp(inst, SEARCH_ONLY)
+    with_engine = solve_opp(inst, options=SEARCH_ONLY)
     leaf_only = solve_opp_leaf_oriented(inst, SEARCH_ONLY)
     assert with_engine.status == leaf_only.status == "sat"
     assert with_engine.stats.nodes < leaf_only.stats.nodes

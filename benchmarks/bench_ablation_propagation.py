@@ -48,7 +48,7 @@ def test_de_t14_under_filter_ablation(benchmark, de_t14, name):
     )
 
     def run():
-        return solve_opp(de_t14, options)
+        return solve_opp(de_t14, options=options)
 
     result = benchmark(run)
     assert result.status == "sat"
@@ -59,11 +59,11 @@ def test_c2_carries_the_chain_reasoning(de_t14):
     """Disabling the infeasible-stable-set check blows the tree up by three
     orders of magnitude on the paper's easiest table row."""
     full = solve_opp(
-        de_t14, SolverOptions(use_bounds=False, use_heuristics=False)
+        de_t14, options=SolverOptions(use_bounds=False, use_heuristics=False)
     )
     stripped = solve_opp(
         de_t14,
-        SolverOptions(
+        options=SolverOptions(
             use_bounds=False,
             use_heuristics=False,
             propagation=PropagationOptions(check_c2=False),
@@ -92,7 +92,11 @@ def test_helly_rule_on_overfull_schedule(benchmark, de_graph, area_rule):
 
     def run():
         return feasible_placement_fixed_schedule(
-            de_graph.boxes(), starts, (32, 32), de_graph.dependency_dag(), options
+            de_graph.boxes(),
+            starts,
+            (32, 32),
+            precedence=de_graph.dependency_dag(),
+            options=options,
         )
 
     result = benchmark(run)
@@ -103,12 +107,16 @@ def test_helly_rule_on_overfull_schedule(benchmark, de_graph, area_rule):
 def test_helly_rule_refutes_at_root(de_graph):
     starts = [OVERFULL_STARTS[t.name] for t in de_graph.tasks]
     with_rule = feasible_placement_fixed_schedule(
-        de_graph.boxes(), starts, (32, 32), de_graph.dependency_dag(),
-        SolverOptions(),
+        de_graph.boxes(), starts, (32, 32),
+        precedence=de_graph.dependency_dag(),
+        options=SolverOptions(),
     )
     without = feasible_placement_fixed_schedule(
-        de_graph.boxes(), starts, (32, 32), de_graph.dependency_dag(),
-        SolverOptions(propagation=PropagationOptions(check_area=False)),
+        de_graph.boxes(), starts, (32, 32),
+        precedence=de_graph.dependency_dag(),
+        options=SolverOptions(
+            propagation=PropagationOptions(check_area=False)
+        ),
     )
     assert with_rule.status == without.status == "unsat"
     assert with_rule.stats.nodes == 0

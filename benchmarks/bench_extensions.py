@@ -110,7 +110,7 @@ def test_annealing_stage_in_solver(benchmark):
     options = SolverOptions(use_annealing=True)
 
     def run():
-        return solve_opp(inst, options)
+        return solve_opp(inst, options=options)
 
     result = benchmark(run)
     assert result.status == "sat"

@@ -51,6 +51,7 @@ from typing import Any, Optional, Tuple
 
 from .core.bmp import minimize_area, minimize_base
 from .core.boxes import Box, Container, PackingInstance
+from .core.deadline import Deadline
 from .core.fixed_schedule import (
     feasible_placement_fixed_schedule,
     minimize_base_fixed_schedule,
@@ -146,14 +147,17 @@ def _as_packing_instance(
     )
 
 
-def _portfolio_opp_solver(solver: Any):
+def _portfolio_opp_solver(solver: Any, time_limit: Optional[float]):
     """Adapt a :class:`PortfolioSolver` to the ``opp_solver`` contract of the
-    sweep drivers (full deadline-budget participation via the ``time_limit``
-    and ``resume_from`` keywords)."""
+    sweep drivers: ``opp_solver(instance, *, deadline=None,
+    resume_from=None)``; ``time_limit`` is the per-decision cap."""
 
-    def opp_solver(instance, time_limit=None, resume_from=None):
+    def opp_solver(instance, *, deadline=None, resume_from=None):
         return solver.solve(
-            instance, time_limit=time_limit, resume_from=resume_from
+            instance,
+            time_limit=time_limit,
+            deadline=deadline,
+            resume_from=resume_from,
         ).to_opp_result()
 
     return opp_solver
@@ -175,8 +179,7 @@ def solve(
     workers: Optional[int] = None,
     backend: str = "auto",
     cache: Optional[Any] = None,
-    time_limit: Optional[float] = None,
-    deadline_budget: Optional[float] = None,
+    deadline: Optional[Deadline] = None,
     telemetry: Optional[Any] = None,
 ):
     """Solve one of the paper's problems; see the module docstring.
@@ -187,8 +190,11 @@ def solve(
     (the FixedS problems), ``max_time`` / ``with_dependencies`` (pareto),
     ``max_side`` (bmp).  Cross-cutting keywords: ``options``, ``workers`` /
     ``backend`` (portfolio racing per OPP decision when ``workers > 1``),
-    ``cache``, ``time_limit`` (opp only), ``deadline_budget`` (sweeps),
-    ``telemetry`` (a :class:`~repro.telemetry.Telemetry` or ``True``).
+    ``cache``, ``deadline`` (a :class:`~repro.core.deadline.Deadline`: the
+    run's one wall clock — a sweep it stops returns its certified incumbent
+    as ``"degraded"``), ``telemetry`` (a
+    :class:`~repro.telemetry.Telemetry` or ``True``).  The per-decision cap
+    is ``options.time_limit``.
 
     ``kernel`` names the propagation engine every OPP decision runs on —
     any name from :func:`repro.core.available_kernels` (``"bitmask"``,
@@ -214,6 +220,9 @@ def solve(
         cache.instrument(telemetry)
 
     portfolio = None
+    # The portfolio runs its own entrant options; the per-decision cap of
+    # ``options`` still bounds every race.
+    portfolio_limit = options.time_limit if options is not None else None
     if workers is not None and workers > 1:
         from .parallel.portfolio import (
             PortfolioConfig,
@@ -239,18 +248,15 @@ def solve(
             packing = _as_packing_instance(instance, chip, time_bound)
             with telemetry.span("solve", problem="opp") as span:
                 if portfolio is not None:
-                    result = portfolio.solve(packing, time_limit=time_limit)
+                    result = portfolio.solve(
+                        packing,
+                        time_limit=portfolio_limit,
+                        deadline=deadline,
+                    )
                 else:
                     opts = options or SolverOptions()
-                    if time_limit is not None:
-                        opts = _replace(
-                            opts,
-                            time_limit=(
-                                time_limit
-                                if opts.time_limit is None
-                                else min(time_limit, opts.time_limit)
-                            ),
-                        )
+                    if deadline is not None:
+                        opts = _replace(opts, deadline=deadline)
                     result = solve_opp(
                         packing,
                         options=opts,
@@ -263,7 +269,9 @@ def solve(
             return result
 
         opp_solver = (
-            _portfolio_opp_solver(portfolio) if portfolio is not None else None
+            _portfolio_opp_solver(portfolio, portfolio_limit)
+            if portfolio is not None
+            else None
         )
         # With a portfolio in play the cache lives inside it (one lookup per
         # probe); handing it to the driver too would double-count lookups.
@@ -279,7 +287,7 @@ def solve(
                 max_side=max_side,
                 cache=driver_cache,
                 opp_solver=opp_solver,
-                deadline_budget=deadline_budget,
+                deadline=deadline,
                 telemetry=telemetry if telemetry.enabled else None,
             )
         if key == "area":
@@ -290,7 +298,7 @@ def solve(
                 options=options,
                 cache=driver_cache,
                 opp_solver=opp_solver,
-                deadline_budget=deadline_budget,
+                deadline=deadline,
                 telemetry=telemetry if telemetry.enabled else None,
             )
         if key == "spp":
@@ -301,7 +309,7 @@ def solve(
                 options=options,
                 cache=driver_cache,
                 opp_solver=opp_solver,
-                deadline_budget=deadline_budget,
+                deadline=deadline,
                 telemetry=telemetry if telemetry.enabled else None,
             )
         if key == "pareto":
@@ -312,7 +320,7 @@ def solve(
                 options=options,
                 cache=driver_cache,
                 opp_solver=opp_solver,
-                deadline_budget=deadline_budget,
+                deadline=deadline,
                 telemetry=telemetry if telemetry.enabled else None,
             )
 

@@ -38,4 +38,4 @@ def solve_opp_leaf_oriented(
         node_limit=options.node_limit,
         time_limit=options.time_limit,
     )
-    return solve_opp(instance, leaf_options)
+    return solve_opp(instance, options=leaf_options)

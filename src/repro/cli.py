@@ -284,7 +284,6 @@ def _cmd_dsolve(args: argparse.Namespace) -> int:
             heartbeat_interval=args.heartbeat_interval,
             reissue_budget=args.reissue_budget,
             deterministic=args.deterministic,
-            wall_timeout=args.wall_timeout,
             deadline=deadline,
         )
         try:
@@ -309,7 +308,6 @@ def _cmd_dsolve(args: argparse.Namespace) -> int:
             deterministic=args.deterministic,
             recheck_unsat=args.recheck_unsat,
             run_dir=args.out,
-            wall_timeout=args.wall_timeout,
             solver=_solver_options(args),
             share_nogoods=args.learning,
             deadline=deadline,
@@ -434,14 +432,13 @@ def _solver_options(
         raise _InputError(str(exc)) from exc
 
 
-def _probe_engine(
-    args: argparse.Namespace, deadline: Optional[Deadline] = None
-):
+def _probe_engine(args: argparse.Namespace):
     """Cache + optional portfolio probe engine for optimizer commands.
 
     Returns ``(cache, opp_solver, close)``: with ``--workers N > 1`` every
-    OPP probe of the monotone sweep races the portfolio on a shared pool;
-    ``close`` must be called when the command is done.
+    OPP probe of the monotone sweep races the portfolio on a shared pool,
+    each race capped by ``--time-limit`` and clipped to the sweep's
+    ``--deadline``; ``close`` must be called when the command is done.
     """
     cache = _make_cache(args)
     workers = getattr(args, "workers", None)
@@ -453,17 +450,12 @@ def _probe_engine(
         workers=workers, cache=cache, telemetry=_telemetry(args)
     )
 
-    def opp_solver(instance, time_limit=None, resume_from=None):
-        # ``time_limit``/``resume_from`` are supplied by the sweep's
-        # deadline-budget runner (detected by signature); the tighter of
-        # the budget slice and ``--time-limit`` wins, and the end-to-end
-        # ``--deadline`` clips every probe on top of that.
-        limits = [l for l in (args.time_limit, time_limit) if l is not None]
+    def opp_solver(instance, *, deadline=None, resume_from=None):
         return solver.solve(
             instance,
-            time_limit=min(limits) if limits else None,
-            resume_from=resume_from,
+            time_limit=args.time_limit,
             deadline=deadline,
+            resume_from=resume_from,
         ).to_opp_result()
 
     return cache, opp_solver, solver.close
@@ -474,7 +466,7 @@ def _cmd_bmp(args: argparse.Namespace) -> int:
 
     graph = _load_graph(args.graph)
     deadline = _deadline(args)
-    cache, opp_solver, close = _probe_engine(args, deadline)
+    cache, opp_solver, close = _probe_engine(args)
     try:
         outcome = minimize_chip(
             graph,
@@ -482,7 +474,6 @@ def _cmd_bmp(args: argparse.Namespace) -> int:
             options=_solver_options(args),
             cache=cache,
             opp_solver=opp_solver,
-            deadline_budget=args.deadline_budget,
             deadline=deadline,
             telemetry=_telemetry(args),
         )
@@ -510,7 +501,7 @@ def _cmd_spp(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     chip = Chip(args.width, args.height or args.width)
     deadline = _deadline(args)
-    cache, opp_solver, close = _probe_engine(args, deadline)
+    cache, opp_solver, close = _probe_engine(args)
     try:
         outcome = minimize_latency(
             graph,
@@ -518,7 +509,6 @@ def _cmd_spp(args: argparse.Namespace) -> int:
             options=_solver_options(args),
             cache=cache,
             opp_solver=opp_solver,
-            deadline_budget=args.deadline_budget,
             deadline=deadline,
             telemetry=_telemetry(args),
         )
@@ -545,7 +535,7 @@ def _cmd_area(args: argparse.Namespace) -> int:
 
     graph = _load_graph(args.graph)
     deadline = _deadline(args)
-    cache, opp_solver, close = _probe_engine(args, deadline)
+    cache, opp_solver, close = _probe_engine(args)
     try:
         result = minimize_area(
             graph.boxes(),
@@ -554,7 +544,6 @@ def _cmd_area(args: argparse.Namespace) -> int:
             options=_solver_options(args),
             cache=cache,
             opp_solver=opp_solver,
-            deadline_budget=args.deadline_budget,
             deadline=deadline,
             telemetry=_telemetry(args),
         )
@@ -579,7 +568,7 @@ def _cmd_area(args: argparse.Namespace) -> int:
 def _cmd_pareto(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     deadline = _deadline(args)
-    cache, opp_solver, close = _probe_engine(args, deadline)
+    cache, opp_solver, close = _probe_engine(args)
     try:
         front = explore_tradeoffs(
             graph,
@@ -587,7 +576,6 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
             options=_solver_options(args),
             cache=cache,
             opp_solver=opp_solver,
-            deadline_budget=args.deadline_budget,
             deadline=deadline,
             telemetry=_telemetry(args),
         )
@@ -894,16 +882,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if optimizer:
             cmd.add_argument(
-                "--deadline-budget", type=float, default=None, metavar="SEC",
-                help="total wall-clock budget across ALL probes of the "
-                "sweep; interrupted probes resume from checkpoints, and "
-                "the result degrades to unknown (exit 3) when it runs out",
-            )
-            cmd.add_argument(
                 "--deadline", type=float, default=None, metavar="SEC",
-                help="end-to-end wall-clock deadline; when it expires "
-                "mid-sweep the result degrades to the certified incumbent "
-                "plus proven bounds (exit 6) instead of a bare unknown",
+                help="wall-clock deadline across ALL probes of the sweep "
+                "(interrupted probes resume from checkpoints); when it "
+                "expires the result degrades to the certified incumbent "
+                "plus proven bounds (exit 6)",
             )
         cmd.add_argument(
             "--workers", type=int, default=None,
@@ -1064,10 +1047,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--recheck-unsat", action="store_true",
         help="re-search UNSAT subtree claims on the reference kernel "
         "before accepting them",
-    )
-    dsolve.add_argument(
-        "--wall-timeout", type=float, default=None, metavar="SEC",
-        help="abandon the remaining subtrees after this much wall clock",
     )
     dsolve.add_argument(
         "--deadline", type=float, default=None, metavar="SEC",

@@ -8,13 +8,11 @@ over OPP decisions solves the problem exactly.
 
 from __future__ import annotations
 
-import inspect
 import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
-from .._compat import keyword_only
 from ..graphs.digraph import DiGraph
 from ..telemetry import coerce as _coerce_telemetry
 from .boxes import Box, Container, PackingInstance, Placement
@@ -30,29 +28,31 @@ UNKNOWN = "unknown"
 DEGRADED = "degraded"
 
 # An OPP engine the optimization drivers can be pointed at instead of the
-# sequential ``solve_opp`` — e.g. ``lambda inst: portfolio.solve(inst)
-# .to_opp_result()`` races a solver portfolio per probe.  Engines that
-# additionally accept ``time_limit=`` / ``resume_from=`` keyword arguments
-# participate fully in deadline budgeting (detected by signature).
-OppSolver = Callable[[PackingInstance], OPPResult]
+# sequential ``solve_opp`` — e.g. ``lambda inst, **kw: portfolio.solve(inst,
+# **kw).to_opp_result()`` races a solver portfolio per probe.  The contract
+# is ``opp_solver(instance, *, deadline=None, resume_from=None)``, matching
+# :meth:`repro.parallel.portfolio.PortfolioSolver.solve`.
+OppSolver = Callable[..., OPPResult]
 
 
 class _ProbeRunner:
-    """Budgeted OPP probing shared by the BMP/SPP/Pareto sweep drivers.
+    """OPP probing shared by the BMP/SPP/Pareto sweep drivers.
 
-    With no ``budget`` this is a thin dispatcher to ``opp_solver`` /
-    :func:`solve_opp` (legacy behavior).  With a wall-clock ``budget``
-    (seconds, shared across *all* probes of a sweep):
+    With no ``deadline`` this is a thin dispatcher to ``opp_solver`` /
+    :func:`solve_opp`.  With a :class:`repro.core.deadline.Deadline` (the
+    request's one run-level clock, shared across *all* probes of a sweep):
 
-    * each probe's time limit is clipped to the remaining budget, so the
-      sweep overshoots the budget by at most one clipped slice;
-    * a probe that comes back ``unknown`` with a checkpoint — its per-probe
-      time limit was tighter than the remaining budget — is *resumed* from
-      that checkpoint rather than restarted, until it concludes, the budget
-      runs out, or it stops making progress (identical checkpoint twice);
-    * once the budget is spent, probes return ``unknown`` immediately with
-      ``stats.limit == "deadline budget exhausted"``, which the drivers
-      already fold into an ``"unknown"`` result with honest brackets.
+    * every probe runs against the deadline (threaded into
+      ``options.deadline``, or handed to ``opp_solver``);
+    * a probe that comes back ``unknown`` with a checkpoint — a per-decision
+      ``time_limit`` or ``node_limit`` stopped it before the deadline did —
+      is *resumed* from that checkpoint rather than restarted, until it
+      concludes, the deadline trips, or it stops making progress (identical
+      checkpoint twice);
+    * once the deadline trips, probes return ``unknown`` immediately with
+      ``stats.limit == "deadline"`` and :attr:`deadline_hit` is set, which
+      the drivers turn into a ``"degraded"`` result carrying the certified
+      incumbent.
 
     ``resume_slices`` counts continuation slices across the sweep (the
     node-accounting tests assert resumption actually happened).
@@ -63,26 +63,17 @@ class _ProbeRunner:
         options: Optional[SolverOptions] = None,
         cache: Optional[object] = None,
         opp_solver: Optional[OppSolver] = None,
-        budget: Optional[float] = None,
         deadline: Optional[Deadline] = None,
         telemetry: Optional[object] = None,
     ) -> None:
-        if budget is not None and budget <= 0:
-            raise ValueError(f"deadline_budget must be positive, got {budget}")
         self.options = options
         self.cache = cache
         self.opp_solver = opp_solver
-        self.budget = budget
-        #: A :class:`repro.core.deadline.Deadline` shared with every other
-        #: layer of the request.  Unlike ``budget`` (a sweep-local cap),
-        #: tripping it means the *request* is out of time: the drivers
-        #: return a ``"degraded"`` incumbent instead of ``"unknown"``.
         self.deadline = deadline
-        #: True once the end-to-end deadline (not a mere per-sweep budget)
-        #: is what stopped probing — the drivers' degradation trigger.
+        #: True once the deadline is what stopped probing — the drivers'
+        #: degradation trigger.
         self.deadline_hit = False
         self.telemetry = _coerce_telemetry(telemetry)
-        self.started = time.monotonic()
         self.resume_slices = 0
         # Which propagation engine the probes run on: a delegated solver
         # (portfolio) owns its own per-entrant options, so the label says
@@ -92,70 +83,22 @@ class _ProbeRunner:
             if opp_solver is not None
             else (options or SolverOptions()).kernel
         )
-        self._solver_kwargs = (
-            self._supported_kwargs(opp_solver) if opp_solver is not None else frozenset()
-        )
 
-    @staticmethod
-    def _supported_kwargs(solver: OppSolver) -> frozenset:
-        try:
-            params = inspect.signature(solver).parameters
-        except (TypeError, ValueError):
-            return frozenset()
-        if any(
-            p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-        ):
-            return frozenset(("time_limit", "resume_from"))
-        return frozenset(
-            name for name in ("time_limit", "resume_from") if name in params
-        )
-
-    def remaining(self) -> Optional[float]:
-        left: Optional[float] = None
-        if self.budget is not None:
-            left = self.budget - (time.monotonic() - self.started)
-        if self.deadline is not None:
-            solver = self.deadline.solver_budget()
-            left = solver if left is None else min(left, solver)
-        return left
-
-    def _exhausted(self) -> OPPResult:
-        """The immediate 'no budget left' answer; stamps the reason so
-        drivers can tell the end-to-end deadline from a sweep budget."""
-        exhausted = OPPResult(status="unknown", stage="budget")
-        if self.deadline is not None and self.deadline.solver_budget() <= 0:
-            self.deadline_hit = True
-            exhausted.stats.limit = DEADLINE_LIMIT
-        else:
-            exhausted.stats.limit = "deadline budget exhausted"
-        return exhausted
+    def _expired(self) -> bool:
+        return self.deadline is not None and self.deadline.solver_budget() <= 0
 
     def _solve_once(
-        self,
-        instance: PackingInstance,
-        time_limit: Optional[float],
-        resume_from: Optional[object],
+        self, instance: PackingInstance, resume_from: Optional[object]
     ) -> OPPResult:
         if self.opp_solver is not None:
-            kwargs = {}
-            if time_limit is not None and "time_limit" in self._solver_kwargs:
-                kwargs["time_limit"] = time_limit
-            if resume_from is not None and "resume_from" in self._solver_kwargs:
-                kwargs["resume_from"] = resume_from
-            return self.opp_solver(instance, **kwargs)
+            return self.opp_solver(
+                instance, deadline=self.deadline, resume_from=resume_from
+            )
         options = self.options or SolverOptions()
         if self.deadline is not None and options.deadline is None:
             # Thread the shared deadline down to the node polls so the
-            # search itself reports "deadline" (not "time limit") when
-            # the end-to-end budget is what stopped it.
+            # search itself reports "deadline" when it is what stopped it.
             options = replace(options, deadline=self.deadline)
-        if time_limit is not None:
-            limit = (
-                time_limit
-                if options.time_limit is None
-                else min(options.time_limit, time_limit)
-            )
-            options = replace(options, time_limit=limit)
         return solve_opp(
             instance,
             options=options,
@@ -165,14 +108,16 @@ class _ProbeRunner:
         )
 
     def solve(self, instance: PackingInstance) -> OPPResult:
-        remaining = self.remaining()
-        if remaining is not None and remaining <= 0:
-            return self._exhausted()
+        if self._expired():
+            self.deadline_hit = True
+            exhausted = OPPResult(status="unknown", stage="budget")
+            exhausted.stats.limit = DEADLINE_LIMIT
+            return exhausted
         resume_from = None
         previous_decisions: Optional[Tuple] = None
         carried_stats = None
         while True:
-            opp = self._solve_once(instance, remaining, resume_from)
+            opp = self._solve_once(instance, resume_from)
             if opp.stats.limit == DEADLINE_LIMIT:
                 self.deadline_hit = True
             if carried_stats is not None:
@@ -189,16 +134,13 @@ class _ProbeRunner:
                 # probe (the node-accounting tests reconcile all three:
                 # SearchStats, the checkpoint, and the telemetry counter).
                 opp.checkpoint.nodes = opp.stats.nodes
-            if (
-                self.budget is None and self.deadline is None
-            ) or opp.status in ("sat", "unsat"):
+            if self.deadline is None or opp.status in ("sat", "unsat"):
                 return opp
             checkpoint = opp.checkpoint
-            remaining = self.remaining()
-            if (
-                checkpoint is None  # unknown for a non-resumable reason
-                or (remaining is not None and remaining <= 0)
-            ):
+            if checkpoint is None:
+                return opp  # unknown for a non-resumable reason
+            if self._expired():
+                self.deadline_hit = True
                 return opp
             decisions = tuple(checkpoint.decisions)
             if decisions == previous_decisions:
@@ -263,11 +205,10 @@ class Probe:
 
 
 def _mark_degraded(result, runner: _ProbeRunner, gap: Optional[int] = None) -> bool:
-    """Attach the explicit degradation marker when the *end-to-end
-    deadline* (not a per-sweep budget or per-solve cap) is what stopped
-    probing.  Returns True exactly when the marker was attached, so the
-    caller can also upgrade ``status`` to ``"degraded"`` if it holds a
-    certified incumbent."""
+    """Attach the explicit degradation marker when the *deadline* (not a
+    per-decision cap) is what stopped probing.  Returns True exactly when
+    the marker was attached, so the caller can also upgrade ``status`` to
+    ``"degraded"`` if it holds a certified incumbent."""
     if not runner.deadline_hit:
         return False
     result.degraded = {"reason": DEADLINE_LIMIT, "gap": gap}
@@ -351,9 +292,6 @@ def base_lower_bound(boxes: List[Box], time_bound: int) -> int:
     return max(1, widest, by_volume)
 
 
-@keyword_only(
-    2, ("time_bound", "options", "cache", "opp_solver", "deadline_budget")
-)
 def minimize_area(
     boxes: List[Box],
     precedence: Optional[DiGraph] = None,
@@ -362,33 +300,29 @@ def minimize_area(
     options: Optional[SolverOptions] = None,
     cache: Optional[object] = None,
     opp_solver: Optional[OppSolver] = None,
-    deadline_budget: Optional[float] = None,
     deadline: Optional[Deadline] = None,
     telemetry: Optional[object] = None,
     _runner: Optional[_ProbeRunner] = None,
 ) -> "AreaResult":
     """Free-aspect chip minimization: the rectangle ``w × h`` of smallest
     *area* (ties broken toward square) accommodating the tasks within the
-    deadline.  Everything past ``precedence`` is keyword-only (legacy
-    positional calls warn).
+    deadline.  Everything past ``precedence`` is keyword-only.
 
     The paper's BMP fixes ``h_x = h_y``; this generalization sweeps the
     width over its feasible range and binary-searches the minimal height
     for each width (feasibility is monotone in the height for fixed width),
     pruning widths whose best conceivable area cannot beat the incumbent.
 
-    ``deadline_budget`` caps the *total* wall-clock spent across all probes
-    (see :class:`_ProbeRunner`); when it runs out the result degrades to
-    ``"unknown"`` instead of overshooting.  ``deadline`` (a shared
-    :class:`repro.core.deadline.Deadline`) additionally caps probing at the
-    request's end-to-end budget; tripping it yields a ``"degraded"`` result
-    carrying the certified incumbent instead of ``"unknown"``.
+    ``deadline`` (a shared :class:`repro.core.deadline.Deadline`) caps
+    probing at the request's end-to-end budget; tripping it yields a
+    ``"degraded"`` result carrying the certified incumbent instead of
+    ``"unknown"``.
     ``telemetry`` records the sweep under a ``solve`` span (one ``probe``
     child per OPP decision).
     """
     runner = _runner or _ProbeRunner(
         options=options, cache=cache, opp_solver=opp_solver,
-        budget=deadline_budget, deadline=deadline, telemetry=telemetry,
+        deadline=deadline, telemetry=telemetry,
     )
     telemetry = runner.telemetry
     with telemetry.span(
@@ -528,17 +462,6 @@ class AreaResult:
         }
 
 
-@keyword_only(
-    2,
-    (
-        "time_bound",
-        "options",
-        "max_side",
-        "cache",
-        "opp_solver",
-        "deadline_budget",
-    ),
-)
 def minimize_base(
     boxes: List[Box],
     precedence: Optional[DiGraph] = None,
@@ -548,14 +471,12 @@ def minimize_base(
     max_side: Optional[int] = None,
     cache: Optional[object] = None,
     opp_solver: Optional[OppSolver] = None,
-    deadline_budget: Optional[float] = None,
     deadline: Optional[Deadline] = None,
     telemetry: Optional[object] = None,
     _runner: Optional[_ProbeRunner] = None,
 ) -> OptimizationResult:
     """Solve MinA&FindS: the minimal square chip for deadline ``time_bound``.
-    Everything past ``precedence`` is keyword-only (legacy positional calls
-    warn).
+    Everything past ``precedence`` is keyword-only.
 
     ``max_side`` caps the search (default: enough to place all boxes side by
     side, which is always sufficient when the deadline admits any schedule).
@@ -563,19 +484,18 @@ def minimize_base(
     probes; repeated sweeps over overlapping chip ranges hit instead of
     re-solving.
 
-    ``deadline_budget`` caps the *total* wall-clock spent across all probes
-    of the search; interrupted probes resume from their checkpoints and the
-    result degrades to ``"unknown"`` (with honest ``lower``/``upper``
-    brackets) when the budget runs out — see :class:`_ProbeRunner`.
-    ``deadline`` (a shared :class:`repro.core.deadline.Deadline`) caps
-    probing at the request's end-to-end budget; tripping it with a SAT
-    incumbent in hand yields a ``"degraded"`` result instead.
+    ``deadline`` (a shared :class:`repro.core.deadline.Deadline`) caps the
+    total wall clock of all probes; interrupted probes resume from their
+    checkpoints (see :class:`_ProbeRunner`).  Tripping it with a SAT
+    incumbent in hand yields a ``"degraded"`` result; without one the
+    result is ``"unknown"`` with honest ``lower``/``upper`` brackets and
+    the ``degraded`` marker.
     ``telemetry`` records the sweep under a ``solve`` span (one ``probe``
     child per OPP decision).
     """
     runner = _runner or _ProbeRunner(
         options=options, cache=cache, opp_solver=opp_solver,
-        budget=deadline_budget, deadline=deadline, telemetry=telemetry,
+        deadline=deadline, telemetry=telemetry,
     )
     telemetry = runner.telemetry
     with telemetry.span(

@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .._compat import keyword_only
 from ..graphs.digraph import DiGraph
 from ..telemetry import coerce as _coerce_telemetry
 from .bmp import OPTIMAL, UNKNOWN, OptimizationResult, Probe
@@ -78,7 +77,6 @@ def _time_axis_assignments(
     return states, arcs
 
 
-@keyword_only(3, ("precedence", "options"))
 def feasible_placement_fixed_schedule(
     boxes: Sequence[Box],
     starts: Sequence[int],
@@ -89,7 +87,7 @@ def feasible_placement_fixed_schedule(
     telemetry: Optional[object] = None,
 ) -> OPPResult:
     """FeasA&FixedS: decide whether the schedule fits the chip spatially.
-    Everything past ``chip`` is keyword-only (legacy positional calls warn).
+    Everything past ``chip`` is keyword-only.
 
     The returned placement (when SAT) uses exactly the given start times.
     """
@@ -140,7 +138,6 @@ def feasible_placement_fixed_schedule(
     return result
 
 
-@keyword_only(2, ("precedence", "options"))
 def minimize_base_fixed_schedule(
     boxes: Sequence[Box],
     starts: Sequence[int],
@@ -150,8 +147,7 @@ def minimize_base_fixed_schedule(
     telemetry: Optional[object] = None,
 ) -> OptimizationResult:
     """MinA&FixedS: the smallest square chip admitting the given schedule.
-    Everything past ``starts`` is keyword-only (legacy positional calls
-    warn)."""
+    Everything past ``starts`` is keyword-only."""
     telemetry = _coerce_telemetry(telemetry)
     with telemetry.span(
         "solve", problem="fixed_area", boxes=len(boxes)

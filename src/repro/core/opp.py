@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from .._compat import keyword_only
 from ..telemetry import coerce as _coerce_telemetry
 from .kernels import resolve as resolve_kernel
 from .boxes import PackingInstance, Placement
@@ -196,7 +195,6 @@ def _active_fault_plan(options: SolverOptions) -> Optional[object]:
     return plan
 
 
-@keyword_only(1, ("options", "cache", "should_stop", "resume_from"))
 def solve_opp(
     instance: PackingInstance,
     *,
@@ -208,8 +206,7 @@ def solve_opp(
 ) -> OPPResult:
     """Decide feasibility of a packing instance (the OPP / FeasAT&FindS).
 
-    Everything but the instance is keyword-only (legacy positional calls
-    still work under a ``DeprecationWarning``).  Returns an
+    Everything but the instance is keyword-only.  Returns an
     :class:`OPPResult` whose ``status`` is ``"sat"`` (with a
     geometry-validated placement), ``"unsat"`` (with a certificate when a
     bound proved it), or ``"unknown"`` (node/time limit hit, or cancelled

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .._compat import keyword_only
 from ..graphs.digraph import DiGraph
 from .bmp import DEGRADED, OPTIMAL, OptimizationResult, _ProbeRunner, minimize_base
 from .boxes import Box
@@ -99,9 +98,6 @@ def minimal_latency(boxes: List[Box], precedence: Optional[DiGraph]) -> int:
     return max(durations, default=0)
 
 
-@keyword_only(
-    2, ("max_time", "options", "cache", "opp_solver", "deadline_budget")
-)
 def pareto_front(
     boxes: List[Box],
     precedence: Optional[DiGraph] = None,
@@ -110,29 +106,24 @@ def pareto_front(
     options: Optional[SolverOptions] = None,
     cache: Optional[object] = None,
     opp_solver: Optional[object] = None,
-    deadline_budget: Optional[float] = None,
     deadline: Optional[Deadline] = None,
     telemetry: Optional[object] = None,
 ) -> ParetoFront:
     """Sweep latencies from the minimum achievable upward and minimize the
     chip for each; stop when the chip size reaches its absolute floor (the
     value for a fully sequential schedule), after which no trade-off
-    remains.  Everything past ``precedence`` is keyword-only (legacy
-    positional calls warn).
+    remains.  Everything past ``precedence`` is keyword-only.
 
-    ``deadline_budget`` is one wall-clock budget (seconds) shared by *every*
-    OPP probe of the entire sweep — not per latency step — so the whole
-    curve computation lands within the budget, degrading late points to
-    ``"unknown"`` rather than overrunning.  ``deadline`` (a shared
-    :class:`repro.core.deadline.Deadline`) additionally stops the sweep at
-    the request's end-to-end budget; the front's status then reports
-    ``"degraded"`` while every point already computed stays exact.
+    ``deadline`` (a shared :class:`repro.core.deadline.Deadline`) is one
+    wall clock for *every* OPP probe of the entire sweep — not per latency
+    step.  When it trips the sweep stops, the front's status reports
+    ``"degraded"``, and every point already computed stays exact.
     ``telemetry`` records the whole sweep under one ``solve`` span; each
     latency step nests its own BMP ``solve`` span beneath it.
     """
     runner = _ProbeRunner(
         options=options, cache=cache, opp_solver=opp_solver,
-        budget=deadline_budget, deadline=deadline, telemetry=telemetry,
+        deadline=deadline, telemetry=telemetry,
     )
     telemetry = runner.telemetry
     with telemetry.span(

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .._compat import keyword_only
 from .boxes import Box, Container, PackingInstance, Placement
 
 
@@ -88,11 +87,10 @@ def denormalize_placement(
     return Placement(original, positions)
 
 
-@keyword_only(1, ("options",))
 def solve_opp_normalized(instance: PackingInstance, *, options=None, telemetry=None):
     """Convenience wrapper: normalize, solve, denormalize.
 
-    ``options`` is keyword-only (legacy positional calls warn).  Returns the
+    ``options`` is keyword-only.  Returns the
     same :class:`repro.core.opp.OPPResult` type; the placement (if any)
     refers to the *original* instance.
     """

@@ -22,7 +22,6 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .._compat import keyword_only
 from .boxes import Box, PackingInstance, Placement
 from .bounds import prove_infeasible
 from .opp import SolverOptions, solve_opp
@@ -64,7 +63,6 @@ class RotationResult:
     assignments_tried: int = 0
 
 
-@keyword_only(1, ("options", "max_assignments"))
 def solve_opp_with_rotation(
     instance: PackingInstance,
     *,
@@ -73,8 +71,7 @@ def solve_opp_with_rotation(
     telemetry: Optional[object] = None,
 ) -> RotationResult:
     """Exact OPP with free 90° rotation of every non-square box.
-    Everything past the instance is keyword-only (legacy positional calls
-    warn).
+    Everything past the instance is keyword-only.
 
     Tries orientation assignments (cheapest first: fewest rotations), each
     filtered by the stage-1 bounds before the full solver runs.  Raises

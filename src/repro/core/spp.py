@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .._compat import keyword_only
 from ..graphs.digraph import DiGraph
 from ..heuristics.greedy import heuristic_makespan
 from .bmp import (
@@ -30,9 +29,6 @@ from .deadline import Deadline
 from .opp import OPPResult, SolverOptions
 
 
-@keyword_only(
-    2, ("chip", "options", "cache", "opp_solver", "deadline_budget")
-)
 def minimize_makespan(
     boxes: List[Box],
     precedence: Optional[DiGraph] = None,
@@ -41,28 +37,24 @@ def minimize_makespan(
     options: Optional[SolverOptions] = None,
     cache: Optional[object] = None,
     opp_solver: Optional[OppSolver] = None,
-    deadline_budget: Optional[float] = None,
     deadline: Optional[Deadline] = None,
     telemetry: Optional[object] = None,
 ) -> OptimizationResult:
     """Solve MinT&FindS: minimal schedule length on a fixed chip.
-    Everything past ``precedence`` is keyword-only (legacy positional calls
-    warn).
+    Everything past ``precedence`` is keyword-only.
 
     ``cache`` (a :class:`repro.parallel.cache.ResultCache`) memoizes the OPP
     probes of the binary search across calls.
 
-    ``deadline_budget`` caps the *total* wall-clock across all probes;
-    interrupted probes resume from their checkpoints, and when the budget
-    runs out the result is ``"unknown"`` with honest brackets (see
-    :class:`repro.core.bmp._ProbeRunner`).  ``deadline`` (a shared
-    :class:`repro.core.deadline.Deadline`) caps probing at the request's
-    end-to-end budget; tripping it with a SAT incumbent in hand yields a
-    ``"degraded"`` result instead.  ``telemetry`` records the sweep under
-    a ``solve`` span (one ``probe`` child per OPP decision)."""
+    ``deadline`` (a shared :class:`repro.core.deadline.Deadline`) caps the
+    total wall clock of all probes; interrupted probes resume from their
+    checkpoints (see :class:`repro.core.bmp._ProbeRunner`).  Tripping it
+    with a SAT incumbent in hand yields a ``"degraded"`` result, otherwise
+    ``"unknown"`` with honest brackets.  ``telemetry`` records the sweep
+    under a ``solve`` span (one ``probe`` child per OPP decision)."""
     runner = _ProbeRunner(
         options=options, cache=cache, opp_solver=opp_solver,
-        budget=deadline_budget, deadline=deadline, telemetry=telemetry,
+        deadline=deadline, telemetry=telemetry,
     )
     telemetry = runner.telemetry
     with telemetry.span(

@@ -61,6 +61,7 @@ from ..core.search import (
     InjectedFault,
     SearchStats,
 )
+from ..io.backoff import BackoffPolicy
 from ..io.journal import JournalWriter
 from ..io.serialize import instance_from_dict, instance_to_dict
 from ..parallel.faults import DistributedFaultPlan, KILL_EXIT_CODE
@@ -128,9 +129,8 @@ class DistributedOptions:
     tests and as a no-dependency fallback).  ``deterministic`` makes the
     merge wait for every subtree ordered before the first SAT so the
     result is reproducible; switching it off returns the first certified
-    SAT immediately.  ``wall_timeout`` bounds the whole solve; on expiry
-    the remaining subtrees are abandoned and the verdict is an explicit
-    ``unknown``.
+    SAT immediately.  ``backoff`` spaces the reissues of a subtree whose
+    lease expired.
     """
 
     workers: int = 2
@@ -139,8 +139,7 @@ class DistributedOptions:
     lease_duration: float = 5.0
     heartbeat_interval: float = 0.5
     reissue_budget: int = 3
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
+    backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
     deterministic: bool = True
     share_nogoods: bool = False
     certify_claims: bool = True
@@ -149,12 +148,12 @@ class DistributedOptions:
     run_dir: Optional[str] = None
     fsync: bool = True
     respawn_budget: int = 4
-    wall_timeout: Optional[float] = None
     #: A shared :class:`repro.core.deadline.Deadline` for the request this
-    #: solve serves.  It bounds the run exactly like ``wall_timeout`` (but
-    #: against the request's end-to-end budget, reported as ``"deadline"``)
-    #: and clips lease durations so no worker holds a lease past the time
-    #: anyone still cares about the answer.
+    #: solve serves — the run's one wall clock.  On expiry the remaining
+    #: subtrees are abandoned and the verdict is an explicit ``unknown``
+    #: with limit ``"deadline"``; it also clips lease durations so no
+    #: worker holds a lease past the time anyone still cares about the
+    #: answer.
     deadline: Optional[Deadline] = None
     solver: SolverOptions = field(default_factory=SolverOptions)
     chaos: Optional[DistributedFaultPlan] = None
@@ -180,8 +179,6 @@ class DistributedOptions:
             )
         if self.respawn_budget < 0:
             raise ValueError("respawn_budget must be >= 0")
-        if self.wall_timeout is not None and self.wall_timeout <= 0:
-            raise ValueError("wall_timeout must be positive")
 
 
 @dataclass
@@ -484,8 +481,7 @@ class DistributedSolver:
             entries,
             lease_duration=lease,
             reissue_budget=self.options.reissue_budget,
-            backoff_base=self.options.backoff_base,
-            backoff_cap=self.options.backoff_cap,
+            backoff=self.options.backoff,
             journal=self._journal,
         )
 
@@ -675,27 +671,16 @@ class DistributedSolver:
         if self._already_complete or self._queue.all_terminal():
             pass
         elif self.options.backend == "inline":
-            self._run_inline(start)
+            self._run_inline()
         else:
-            self._run_process(start)
+            self._run_process()
         return self._finalize(start)
 
-    def _deadline_exceeded(self, start: float) -> bool:
-        return self._time_exhausted(start) is not None
-
-    def _time_exhausted(self, start: float) -> Optional[str]:
-        """The limit reason when the run is out of time, else ``None`` —
-        ``"deadline"`` (the request's end-to-end budget) takes priority
-        over the run-local ``wall_timeout``."""
+    def _deadline_expired(self) -> bool:
         deadline = self.options.deadline
-        if deadline is not None and deadline.solver_budget() <= 0:
-            return DEADLINE_LIMIT
-        timeout = self.options.wall_timeout
-        if timeout is not None and time.monotonic() - start > timeout:
-            return "wall-clock timeout"
-        return None
+        return deadline is not None and deadline.solver_budget() <= 0
 
-    def _run_inline(self, start: float) -> None:
+    def _run_inline(self) -> None:
         """Single-threaded backend: the whole lease/epoch/chaos protocol
         with the worker loop run synchronously inside the coordinator."""
         assert self._queue is not None
@@ -704,10 +689,9 @@ class DistributedSolver:
         chaos = options.chaos if options.chaos is not None else None
         worker_id = "inline-0"
         while not queue.all_terminal():
-            exhausted = self._time_exhausted(start)
-            if exhausted is not None:
-                self._limit_reason = exhausted
-                queue.abandon_remaining(exhausted)
+            if self._deadline_expired():
+                self._limit_reason = DEADLINE_LIMIT
+                queue.abandon_remaining(DEADLINE_LIMIT)
                 break
             queue.expire()
             entry = queue.claim(worker_id)
@@ -768,7 +752,7 @@ class DistributedSolver:
             queue.expire()  # a stalled solve may have outlived its lease
             self._handle_claim(task, epoch, claim, worker_id)
 
-    def _run_process(self, start: float) -> None:
+    def _run_process(self) -> None:
         """Real worker processes over multiprocessing queues."""
         assert self._queue is not None
         import multiprocessing
@@ -847,10 +831,9 @@ class DistributedSolver:
 
         try:
             while not queue.all_terminal():
-                exhausted = self._time_exhausted(start)
-                if exhausted is not None:
-                    self._limit_reason = exhausted
-                    queue.abandon_remaining(exhausted)
+                if self._deadline_expired():
+                    self._limit_reason = DEADLINE_LIMIT
+                    queue.abandon_remaining(DEADLINE_LIMIT)
                     break
                 queue.expire()
                 # Reap dead workers: release their leases, respawn under

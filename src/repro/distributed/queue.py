@@ -102,8 +102,7 @@ class LeaseQueue:
         *,
         lease_duration: float = 5.0,
         reissue_budget: int = 3,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
+        backoff: BackoffPolicy = BackoffPolicy(),
         journal: Optional[JournalWriter] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -118,12 +117,10 @@ class LeaseQueue:
             self.entries[entry.task_id] = entry
         self.lease_duration = lease_duration
         self.reissue_budget = reissue_budget
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         # The shared backoff vocabulary (repro.io.backoff).  The queue
         # journals the *deterministic* delay — replay must reconstruct the
         # exact schedule — so reissue gating uses ``delay``, never jitter.
-        self.backoff = BackoffPolicy(base=backoff_base, cap=backoff_cap)
+        self.backoff = backoff
         self.journal = journal
         self.clock = clock
         # Observability counters (mirrored into telemetry by the solver).

@@ -11,8 +11,7 @@ Wraps the packing core with the domain vocabulary:
   *FeasA&FixedS* / *MinA&FixedS*: start times given;
 * :func:`explore_tradeoffs` — the area/latency Pareto front of Figure 7.
 
-Every wrapper takes its configuration keyword-only (legacy positional calls
-keep working under a ``DeprecationWarning``) and threads an optional
+Every wrapper takes its configuration keyword-only and threads an optional
 ``telemetry`` recorder down to the packing core.
 """
 
@@ -21,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .._compat import keyword_only
 from ..core.bmp import DEGRADED, OPTIMAL, OptimizationResult, minimize_base
 from ..core.deadline import Deadline
 from ..core.fixed_schedule import (
@@ -64,7 +62,6 @@ def _dependency_dag(graph: TaskGraph):
     return graph.dependency_dag() if graph.arcs() else None
 
 
-@keyword_only(3, ("options",))
 def place(
     graph: TaskGraph,
     chip: Chip,
@@ -89,7 +86,6 @@ def place(
     )
 
 
-@keyword_only(2, ("options", "cache", "opp_solver", "deadline_budget"))
 def minimize_chip(
     graph: TaskGraph,
     time_bound: int,
@@ -97,16 +93,14 @@ def minimize_chip(
     options: Optional[SolverOptions] = None,
     cache: Optional[object] = None,
     opp_solver: Optional[object] = None,
-    deadline_budget: Optional[float] = None,
     deadline: Optional[Deadline] = None,
     telemetry: Optional[object] = None,
 ) -> ChipOptimizationOutcome:
     """MinA&FindS: the smallest square chip for the latency bound.
 
-    ``deadline_budget`` caps the total wall-clock across all OPP probes of
-    the search (interrupted probes resume from checkpoints); ``deadline``
-    is an end-to-end :class:`~repro.core.deadline.Deadline` — when it
-    trips mid-sweep the result degrades to the certified incumbent."""
+    ``deadline`` is an end-to-end :class:`~repro.core.deadline.Deadline`
+    shared by every OPP probe of the search — when it trips mid-sweep the
+    result degrades to the certified incumbent."""
     result = minimize_base(
         graph.boxes(),
         _dependency_dag(graph),
@@ -114,14 +108,12 @@ def minimize_chip(
         options=options,
         cache=cache,
         opp_solver=opp_solver,
-        deadline_budget=deadline_budget,
         deadline=deadline,
         telemetry=telemetry,
     )
     return _chip_outcome(graph, result)
 
 
-@keyword_only(2, ("options", "cache", "opp_solver", "deadline_budget"))
 def minimize_latency(
     graph: TaskGraph,
     chip: Chip,
@@ -129,7 +121,6 @@ def minimize_latency(
     options: Optional[SolverOptions] = None,
     cache: Optional[object] = None,
     opp_solver: Optional[object] = None,
-    deadline_budget: Optional[float] = None,
     deadline: Optional[Deadline] = None,
     telemetry: Optional[object] = None,
 ) -> ChipOptimizationOutcome:
@@ -141,7 +132,6 @@ def minimize_latency(
         options=options,
         cache=cache,
         opp_solver=opp_solver,
-        deadline_budget=deadline_budget,
         deadline=deadline,
         telemetry=telemetry,
     )
@@ -155,7 +145,6 @@ def minimize_latency(
     return outcome
 
 
-@keyword_only(3, ("options",))
 def place_fixed_schedule(
     graph: TaskGraph,
     chip: Chip,
@@ -181,7 +170,6 @@ def place_fixed_schedule(
     return PlacementOutcome(status=result.status, schedule=schedule)
 
 
-@keyword_only(2, ("options",))
 def minimize_chip_fixed_schedule(
     graph: TaskGraph,
     starts: Sequence[int],
@@ -200,17 +188,6 @@ def minimize_chip_fixed_schedule(
     return _chip_outcome(graph, result)
 
 
-@keyword_only(
-    1,
-    (
-        "with_dependencies",
-        "max_time",
-        "options",
-        "cache",
-        "opp_solver",
-        "deadline_budget",
-    ),
-)
 def explore_tradeoffs(
     graph: TaskGraph,
     *,
@@ -219,14 +196,13 @@ def explore_tradeoffs(
     options: Optional[SolverOptions] = None,
     cache: Optional[object] = None,
     opp_solver: Optional[object] = None,
-    deadline_budget: Optional[float] = None,
     deadline: Optional[Deadline] = None,
     telemetry: Optional[object] = None,
 ) -> ParetoFront:
     """The chip-size / latency Pareto front (Figure 7).
 
-    ``deadline_budget`` is shared by every probe of the whole sweep;
-    ``deadline`` trips mid-sweep into an exact-prefix degraded front."""
+    ``deadline`` is shared by every probe of the whole sweep; when it
+    trips mid-sweep the result is an exact-prefix degraded front."""
     dag = _dependency_dag(graph) if with_dependencies else None
     return pareto_front(
         graph.boxes(),
@@ -235,7 +211,6 @@ def explore_tradeoffs(
         options=options,
         cache=cache,
         opp_solver=opp_solver,
-        deadline_budget=deadline_budget,
         deadline=deadline,
         telemetry=telemetry,
     )

@@ -45,7 +45,6 @@ from concurrent.futures import (
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .._compat import keyword_only
 from ..core.boxes import PackingInstance, Placement
 from ..core.deadline import DEADLINE_LIMIT, Deadline
 from ..core.opp import SAT, UNKNOWN, UNSAT, OPPResult, SolverOptions
@@ -120,8 +119,8 @@ class RetryPolicy:
 
     ``entrant_retries`` caps how often one lost entrant is re-raced after a
     pool breakage; ``pool_rebuilds`` caps process-pool reconstructions per
-    solve before the backend degrades to threads; the backoff between
-    rebuilds is ``backoff_base * 2**(attempt-1)`` capped at ``backoff_cap``.
+    solve before the backend degrades to threads; ``backoff`` spaces the
+    rebuilds (jittered sleeps, see :class:`repro.io.backoff.BackoffPolicy`).
     ``drain_grace`` is how long, after a winner is declared (or past the
     solve's time limit), the runtime waits for cancelled losers before
     abandoning them as stalled.
@@ -129,25 +128,14 @@ class RetryPolicy:
 
     entrant_retries: int = 2
     pool_rebuilds: int = 3
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
+    backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
     drain_grace: float = 5.0
 
     def __post_init__(self) -> None:
         if self.entrant_retries < 0 or self.pool_rebuilds < 0:
             raise ValueError("retry counts must be non-negative")
-        if min(self.backoff_base, self.backoff_cap, self.drain_grace) < 0:
-            raise ValueError("backoff and grace periods must be non-negative")
-
-    def policy(self) -> BackoffPolicy:
-        """This policy's delays as the shared backoff vocabulary."""
-        return BackoffPolicy(base=self.backoff_base, cap=self.backoff_cap)
-
-    def backoff(self, attempt: int) -> float:
-        """The deterministic (unjittered) rebuild delay — what fault
-        records and tests pin.  The actual sleep before re-touching the
-        shared pool is *jittered* (see :meth:`BackoffPolicy.sleep`)."""
-        return self.policy().delay(attempt)
+        if self.drain_grace < 0:
+            raise ValueError("grace period must be non-negative")
 
 
 @dataclass
@@ -294,7 +282,6 @@ class PortfolioSolver:
 
     # -- solving -----------------------------------------------------------
 
-    @keyword_only(2, ("time_limit", "resume_from", "should_stop"))
     def solve(
         self,
         instance: PackingInstance,
@@ -305,8 +292,7 @@ class PortfolioSolver:
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> PortfolioResult:
         """Race the portfolio on one instance; first conclusive answer wins.
-        Everything past the instance is keyword-only (legacy positional
-        calls warn).
+        Everything past the instance is keyword-only.
 
         ``time_limit`` (seconds) bounds every entrant that has no tighter
         limit of its own; when all entrants come back inconclusive the
@@ -367,13 +353,12 @@ class PortfolioSolver:
         if deadline is not None:
             # One shared remaining-time source: the race (all entrants and
             # any rebuild/degrade detours) fits in the solver budget.
-            budget = deadline.solver_budget()
-            if budget <= 0:
+            if deadline.solver_budget() <= 0:
                 result = PortfolioResult(status=UNKNOWN, backend=self.backend)
                 result.stats.limit = DEADLINE_LIMIT
                 result.elapsed = time.monotonic() - start
                 return finish(result)
-            time_limit = budget if time_limit is None else min(time_limit, budget)
+            time_limit = deadline.clip(time_limit)
 
         configs = self.configs
         if time_limit is not None:
@@ -666,7 +651,7 @@ class PortfolioSolver:
                     return list(completed.values()), todo + spill
                 # Jittered: concurrent solves whose pools broke together
                 # must not stampede the OS process table back in lockstep.
-                self.retry.policy().sleep(rebuilds)
+                self.retry.backoff.sleep(rebuilds)
                 continue
 
             harvest = self._harvest(
@@ -731,7 +716,7 @@ class PortfolioSolver:
             if todo:
                 if rebuilds > self.retry.pool_rebuilds:
                     return list(completed.values()), todo + spill
-                self.retry.policy().sleep(rebuilds)
+                self.retry.backoff.sleep(rebuilds)
         return list(completed.values()), spill
 
     def _record_entrant_faults(
@@ -840,19 +825,6 @@ class PortfolioSolver:
         return harvest
 
 
-@keyword_only(
-    1,
-    (
-        "configs",
-        "workers",
-        "cache",
-        "backend",
-        "time_limit",
-        "retry",
-        "resume_from",
-        "should_stop",
-    ),
-)
 def solve_opp_portfolio(
     instance: PackingInstance,
     *,
@@ -868,8 +840,7 @@ def solve_opp_portfolio(
     telemetry: Optional[object] = None,
 ) -> PortfolioResult:
     """One-shot convenience wrapper around :class:`PortfolioSolver`.
-    Everything past the instance is keyword-only (legacy positional calls
-    warn)."""
+    Everything past the instance is keyword-only."""
     with PortfolioSolver(
         configs=configs, workers=workers, cache=cache, backend=backend,
         retry=retry, telemetry=telemetry,

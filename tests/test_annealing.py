@@ -70,7 +70,9 @@ class TestAnnealedMakespan:
             precedence_arcs=[(0, 1)],
         )
         bound = annealed_makespan(inst)
-        exact = minimize_makespan(list(inst.boxes), inst.precedence, (2, 2))
+        exact = minimize_makespan(
+            list(inst.boxes), inst.precedence, chip=(2, 2)
+        )
         assert bound is not None
         assert exact.status == "optimal"
         assert bound >= exact.optimum

@@ -62,7 +62,7 @@ class TestGeometricBaseline:
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_packing_class_solver(self, seed):
         inst = random_small_instance(random.Random(seed))
-        reference = solve_opp(inst, SEARCH_ONLY)
+        reference = solve_opp(inst, options=SEARCH_ONLY)
         got = solve_opp_geometric(inst)
         assert got.status == reference.status
 
@@ -92,7 +92,7 @@ class TestGridBaseline:
     @settings(max_examples=30, deadline=None)
     def test_agrees_with_packing_class_solver(self, seed):
         inst = random_small_instance(random.Random(seed))
-        reference = solve_opp(inst, SEARCH_ONLY)
+        reference = solve_opp(inst, options=SEARCH_ONLY)
         got = solve_opp_grid(inst)
         assert got.status == reference.status
 
@@ -106,7 +106,7 @@ class TestLeafOrientedBaseline:
             (3, 3, 6),
             precedence_arcs=[(0, 1), (1, 2), (0, 3)],
         )
-        reference = solve_opp(inst, SEARCH_ONLY)
+        reference = solve_opp(inst, options=SEARCH_ONLY)
         got = solve_opp_leaf_oriented(inst, SEARCH_ONLY)
         assert got.status == reference.status
 
@@ -114,6 +114,6 @@ class TestLeafOrientedBaseline:
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_packing_class_solver(self, seed):
         inst = random_small_instance(random.Random(seed))
-        reference = solve_opp(inst, SEARCH_ONLY)
+        reference = solve_opp(inst, options=SEARCH_ONLY)
         got = solve_opp_leaf_oriented(inst, SEARCH_ONLY)
         assert got.status == reference.status

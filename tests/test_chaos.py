@@ -19,6 +19,7 @@ from repro.core import (
     solve_opp,
 )
 from repro.instances.random_instances import random_feasible_instance
+from repro.io.backoff import BackoffPolicy
 from repro.parallel import (
     FaultPlan,
     PortfolioSolver,
@@ -80,23 +81,25 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(pool_rebuilds=-1)
         with pytest.raises(ValueError):
-            RetryPolicy(backoff_base=-0.1)
+            RetryPolicy(backoff=BackoffPolicy(base=-0.1))
         with pytest.raises(ValueError):
             RetryPolicy(drain_grace=-1.0)
 
     def test_backoff_exponential_and_capped(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_cap=0.35)
-        assert policy.backoff(1) == pytest.approx(0.1)
-        assert policy.backoff(2) == pytest.approx(0.2)
-        assert policy.backoff(3) == pytest.approx(0.35)  # capped
-        assert policy.backoff(10) == pytest.approx(0.35)
+        policy = RetryPolicy(backoff=BackoffPolicy(base=0.1, cap=0.35))
+        assert policy.backoff.delay(1) == pytest.approx(0.1)
+        assert policy.backoff.delay(2) == pytest.approx(0.2)
+        assert policy.backoff.delay(3) == pytest.approx(0.35)  # capped
+        assert policy.backoff.delay(10) == pytest.approx(0.35)
 
 
 class TestInjectedRaise:
     def test_contained_raise_yields_explicit_unknown(self):
         result = solve_opp(
             _instance(),
-            SolverOptions(fault_plan=FaultPlan(raise_at_node=10), **SEARCH_ONLY),
+            options=SolverOptions(
+                fault_plan=FaultPlan(raise_at_node=10), **SEARCH_ONLY
+            ),
         )
         assert result.status == "unknown"
         assert result.stats.limit == "fault:propagation_raise"
@@ -107,17 +110,20 @@ class TestInjectedRaise:
         plan = FaultPlan(raise_at_node=10, escalate=True)
         with pytest.raises(InjectedFault):
             solve_opp(
-                _instance(), SolverOptions(fault_plan=plan, **SEARCH_ONLY)
+                _instance(),
+                options=SolverOptions(fault_plan=plan, **SEARCH_ONLY),
             )
 
     def test_resume_after_fault_reaches_verdict(self):
         faulted = solve_opp(
             _instance(),
-            SolverOptions(fault_plan=FaultPlan(raise_at_node=50), **SEARCH_ONLY),
+            options=SolverOptions(
+                fault_plan=FaultPlan(raise_at_node=50), **SEARCH_ONLY
+            ),
         )
         resumed = solve_opp(
             _instance(),
-            SolverOptions(**SEARCH_ONLY),
+            options=SolverOptions(**SEARCH_ONLY),
             resume_from=faulted.checkpoint,
         )
         assert resumed.status == "sat"
@@ -186,7 +192,9 @@ class TestThreadContainment:
 
 
 class TestProcessCrashRecovery:
-    RETRY = RetryPolicy(entrant_retries=1, pool_rebuilds=2, backoff_base=0.01)
+    RETRY = RetryPolicy(
+        entrant_retries=1, pool_rebuilds=2, backoff=BackoffPolicy(base=0.01)
+    )
 
     def test_killed_worker_race_still_concludes(self):
         """The targeted worker dies via os._exit; the pool is rebuilt, the
@@ -245,7 +253,9 @@ class TestLearningUnderFaults:
     """
 
     LEARNING = LearningOptions(enabled=True, restart_base=2, max_restarts=4)
-    RETRY = RetryPolicy(entrant_retries=1, pool_rebuilds=2, backoff_base=0.01)
+    RETRY = RetryPolicy(
+        entrant_retries=1, pool_rebuilds=2, backoff=BackoffPolicy(base=0.01)
+    )
 
     def _learning_configs(self, plan):
         return [
@@ -359,7 +369,7 @@ class TestCacheCorruption:
 class TestEnvHook:
     def test_env_plan_fires(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", '{"raise_at_node": 10}')
-        result = solve_opp(_instance(), SolverOptions(**SEARCH_ONLY))
+        result = solve_opp(_instance(), options=SolverOptions(**SEARCH_ONLY))
         assert result.status == "unknown"
         assert result.stats.limit == "fault:propagation_raise"
 
@@ -373,7 +383,7 @@ class TestEnvHook:
         monkeypatch.setenv(
             "REPRO_FAULT_PLAN", '{"raise_at_node": 10, "target": "static"}'
         )
-        result = solve_opp(_instance(), SolverOptions(**SEARCH_ONLY))
+        result = solve_opp(_instance(), options=SolverOptions(**SEARCH_ONLY))
         assert result.status == "sat"  # unnamed solve is not the target
 
 

@@ -18,6 +18,7 @@ from repro.core import (
     solve_opp,
 )
 from repro.core.bmp import minimize_base
+from repro.core.deadline import Deadline
 from repro.core.spp import minimize_makespan
 
 SEARCH_HEAVY = [
@@ -50,7 +51,7 @@ class TestCheckpointObject:
 
     def test_limit_exit_produces_checkpoint(self):
         result = solve_opp(
-            _instance(), SolverOptions(node_limit=50, **SEARCH_ONLY)
+            _instance(), options=SolverOptions(node_limit=50, **SEARCH_ONLY)
         )
         assert result.status == "unknown"
         assert result.checkpoint is not None
@@ -58,7 +59,7 @@ class TestCheckpointObject:
         assert result.checkpoint.nodes == result.stats.nodes
 
     def test_conclusive_solve_has_no_checkpoint(self):
-        result = solve_opp(_instance(), SolverOptions(**SEARCH_ONLY))
+        result = solve_opp(_instance(), options=SolverOptions(**SEARCH_ONLY))
         assert result.status == "sat"
         assert result.checkpoint is None
 
@@ -66,12 +67,14 @@ class TestCheckpointObject:
 class TestResume:
     def test_resume_reaches_same_verdict(self):
         opts = SolverOptions(**SEARCH_ONLY)
-        full = solve_opp(_instance(), opts)
+        full = solve_opp(_instance(), options=opts)
         partial = solve_opp(
-            _instance(), SolverOptions(node_limit=50, **SEARCH_ONLY)
+            _instance(), options=SolverOptions(node_limit=50, **SEARCH_ONLY)
         )
         assert partial.status == "unknown"
-        resumed = solve_opp(_instance(), opts, resume_from=partial.checkpoint)
+        resumed = solve_opp(
+            _instance(), options=opts, resume_from=partial.checkpoint
+        )
         assert resumed.status == full.status == "sat"
         assert resumed.placement.is_feasible()
 
@@ -81,11 +84,13 @@ class TestResume:
         only the replayed prefix (one node per recorded decision, plus the
         root)."""
         opts = SolverOptions(**SEARCH_ONLY)
-        full = solve_opp(_instance(), opts)
+        full = solve_opp(_instance(), options=opts)
         partial = solve_opp(
-            _instance(), SolverOptions(node_limit=50, **SEARCH_ONLY)
+            _instance(), options=SolverOptions(node_limit=50, **SEARCH_ONLY)
         )
-        resumed = solve_opp(_instance(), opts, resume_from=partial.checkpoint)
+        resumed = solve_opp(
+            _instance(), options=opts, resume_from=partial.checkpoint
+        )
         assert resumed.stats.nodes < full.stats.nodes
         replay_overhead = len(partial.checkpoint.decisions) + 1
         total = partial.stats.nodes + resumed.stats.nodes
@@ -98,7 +103,7 @@ class TestResume:
         for _ in range(100):
             result = solve_opp(
                 _instance(),
-                SolverOptions(node_limit=40, **SEARCH_ONLY),
+                options=SolverOptions(node_limit=40, **SEARCH_ONLY),
                 resume_from=checkpoint,
             )
             if result.status != "unknown":
@@ -113,10 +118,10 @@ class TestResume:
         silently prune) the search: it is dropped and recorded."""
         other = make_instance([[1, 1, 1], [1, 1, 1]], [2, 2, 2])
         partial = solve_opp(
-            _instance(), SolverOptions(node_limit=50, **SEARCH_ONLY)
+            _instance(), options=SolverOptions(node_limit=50, **SEARCH_ONLY)
         )
         result = solve_opp(
-            other, SolverOptions(**SEARCH_ONLY),
+            other, options=SolverOptions(**SEARCH_ONLY),
             resume_from=partial.checkpoint,
         )
         assert result.status == "sat"  # solved from scratch, correctly
@@ -134,15 +139,20 @@ class TestResume:
 
 
 class TestDeadlineBudget:
+    """The sweep-wide :class:`Deadline` shared by every probe."""
+
     def test_budget_respected_within_tolerance(self):
-        """A BMP sweep with a deadline budget finishes within 1.2x of it
+        """A BMP sweep under a deadline finishes within 1.2x of it
         (the slack covers one clipped slice plus scheduling noise)."""
         boxes = [Box(tuple(w)) for w in SEARCH_HEAVY]
         budget = 0.2
         opts = SolverOptions(time_limit=0.02, **SEARCH_ONLY)
         start = time.monotonic()
         minimize_base(
-            boxes, time_bound=6, options=opts, deadline_budget=budget
+            boxes,
+            time_bound=6,
+            options=opts,
+            deadline=Deadline.after(budget, margin=0),
         )
         elapsed = time.monotonic() - start
         assert elapsed <= budget * 1.2 + 0.1
@@ -155,7 +165,7 @@ class TestDeadlineBudget:
 
         runner = _ProbeRunner(
             options=SolverOptions(node_limit=60, **SEARCH_ONLY),
-            budget=30.0,
+            deadline=Deadline.after(30.0, margin=0),
         )
         result = runner.solve(_instance())
         assert result.status == "sat"
@@ -168,7 +178,10 @@ class TestDeadlineBudget:
         boxes = [Box(tuple(w)) for w in SEARCH_HEAVY]
         opts = SolverOptions(time_limit=0.01, **SEARCH_ONLY)
         result = minimize_base(
-            boxes, time_bound=6, options=opts, deadline_budget=0.001
+            boxes,
+            time_bound=6,
+            options=opts,
+            deadline=Deadline.after(0.001, margin=0),
         )
         assert result.status == "unknown"
         assert result.probes  # at least one (budget-exhausted) probe record
@@ -176,12 +189,16 @@ class TestDeadlineBudget:
     def test_invalid_budget_rejected(self):
         boxes = [Box(tuple(w)) for w in SEARCH_HEAVY]
         with pytest.raises(ValueError):
-            minimize_base(boxes, time_bound=6, deadline_budget=-1.0)
+            minimize_base(
+                boxes,
+                time_bound=6,
+                deadline=Deadline.after(-1.0, margin=0),
+            )
 
     def test_spp_accepts_budget(self):
         boxes = [Box((1, 1, 1)), Box((1, 1, 1))]
         result = minimize_makespan(
-            boxes, chip=(2, 2), deadline_budget=30.0
+            boxes, chip=(2, 2), deadline=Deadline.after(30.0, margin=0)
         )
         assert result.status == "optimal"
         assert result.optimum == 1

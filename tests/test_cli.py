@@ -241,9 +241,9 @@ class TestCommands:
         assert main(["bmp", "@fir2", "--time", "3", "--time-limit", "-1"]) == EXIT_INPUT
         assert "time_limit" in capsys.readouterr().err
 
-    def test_deadline_budget_accepted(self, capsys):
+    def test_sweep_deadline_accepted(self, capsys):
         assert (
-            main(["bmp", "@fir2", "--time", "3", "--deadline-budget", "30"])
+            main(["bmp", "@fir2", "--time", "3", "--deadline", "30"])
             == EXIT_OK
         )
         assert "minimal square chip" in capsys.readouterr().out

@@ -78,7 +78,7 @@ class TestFeasibility:
         dag = DiGraph(2, [(0, 1)])
         with pytest.raises(ScheduleError):
             feasible_placement_fixed_schedule(
-                boxes_of([(1, 1, 2)] * 2), [0, 1], (2, 2), dag
+                boxes_of([(1, 1, 2)] * 2), [0, 1], (2, 2), precedence=dag
             )
 
     def test_exact_start_times_in_result(self):

@@ -43,16 +43,20 @@ def brute_force_sat(instance):
 
 class TestBasics:
     def test_single_box_fits(self):
-        r = solve_opp(make_instance([(2, 2, 2)], (2, 2, 2)), SEARCH_ONLY)
+        r = solve_opp(
+            make_instance([(2, 2, 2)], (2, 2, 2)), options=SEARCH_ONLY
+        )
         assert r.is_sat
         assert r.placement.positions == [(0, 0, 0)]
 
     def test_single_box_too_large(self):
-        r = solve_opp(make_instance([(3, 2, 2)], (2, 2, 2)), SEARCH_ONLY)
+        r = solve_opp(
+            make_instance([(3, 2, 2)], (2, 2, 2)), options=SEARCH_ONLY
+        )
         assert r.is_unsat
 
     def test_empty_instance(self):
-        r = solve_opp(make_instance([], (2, 2, 2)), SEARCH_ONLY)
+        r = solve_opp(make_instance([], (2, 2, 2)), options=SEARCH_ONLY)
         assert r.is_sat
 
     def test_sat_answers_carry_validated_placement(self):
@@ -60,7 +64,7 @@ class TestBasics:
             [(2, 1, 1), (1, 2, 1), (1, 1, 2)], (2, 2, 2),
             precedence_arcs=[(0, 1)],
         )
-        r = solve_opp(inst, SEARCH_ONLY)
+        r = solve_opp(inst, options=SEARCH_ONLY)
         assert r.is_sat
         assert r.placement.is_feasible()
 
@@ -79,11 +83,11 @@ class TestBasics:
         options = SolverOptions(
             use_bounds=False, use_heuristics=False, time_limit=0.0
         )
-        r = solve_opp(inst, options)
+        r = solve_opp(inst, options=options)
         assert r.status in ("unknown", "sat", "unsat")
         # A zero budget must never fabricate an answer the exact solver
         # would not give.
-        reference = solve_opp(inst, SEARCH_ONLY)
+        reference = solve_opp(inst, options=SEARCH_ONLY)
         if r.status != "unknown":
             assert r.status == reference.status
 
@@ -92,7 +96,7 @@ class TestBasics:
             [(2, 2, 2), (2, 1, 1), (1, 2, 1), (2, 2, 1)], (3, 3, 4)
         )
         options = SolverOptions(use_heuristics=False, use_annealing=True)
-        r = solve_opp(inst, options)
+        r = solve_opp(inst, options=options)
         assert r.is_sat
         # Either annealing or the search found it; if annealing did, the
         # stage says so.
@@ -107,7 +111,7 @@ class TestBasics:
         options = SolverOptions(
             use_bounds=False, use_heuristics=False, node_limit=1
         )
-        r = solve_opp(inst, options)
+        r = solve_opp(inst, options=options)
         assert r.status in ("unknown", "sat")  # must not claim unsat
 
 
@@ -116,13 +120,13 @@ class TestPrecedence:
         inst = make_instance(
             [(2, 2, 1)] * 3, (2, 2, 3), precedence_arcs=[(0, 1), (1, 2)]
         )
-        assert solve_opp(inst, SEARCH_ONLY).is_sat
+        assert solve_opp(inst, options=SEARCH_ONLY).is_sat
 
     def test_chain_too_long(self):
         inst = make_instance(
             [(2, 2, 1)] * 4, (2, 2, 3), precedence_arcs=[(0, 1), (1, 2), (2, 3)]
         )
-        assert solve_opp(inst, SEARCH_ONLY).is_unsat
+        assert solve_opp(inst, options=SEARCH_ONLY).is_unsat
 
     def test_precedence_changes_answer(self):
         # Without precedence: both fit concurrently.  With a chain, the
@@ -130,8 +134,8 @@ class TestPrecedence:
         boxes = [(1, 1, 2), (1, 1, 2)]
         free = make_instance(boxes, (2, 1, 2))
         chained = make_instance(boxes, (2, 1, 2), precedence_arcs=[(0, 1)])
-        assert solve_opp(free, SEARCH_ONLY).is_sat
-        assert solve_opp(chained, SEARCH_ONLY).is_unsat
+        assert solve_opp(free, options=SEARCH_ONLY).is_sat
+        assert solve_opp(chained, options=SEARCH_ONLY).is_unsat
 
     def test_diamond_dependencies(self):
         inst = make_instance(
@@ -139,7 +143,7 @@ class TestPrecedence:
             (2, 1, 3),
             precedence_arcs=[(0, 1), (0, 2), (1, 3), (2, 3)],
         )
-        r = solve_opp(inst, SEARCH_ONLY)
+        r = solve_opp(inst, options=SEARCH_ONLY)
         assert r.is_sat
         # 1 and 2 must share the middle cycle side by side.
         assert r.placement.start(1, 2) == r.placement.start(2, 2) == 1
@@ -149,7 +153,7 @@ class TestPrecedence:
             (1, 1, 3),
             precedence_arcs=[(0, 1), (0, 2), (1, 3), (2, 3)],
         )
-        assert solve_opp(tight, SEARCH_ONLY).is_unsat
+        assert solve_opp(tight, options=SEARCH_ONLY).is_unsat
 
 
 class TestBruteForceEquivalence:
@@ -167,7 +171,7 @@ class TestBruteForceEquivalence:
             if rng.random() < 0.3
         ]
         inst = make_instance(boxes, sizes, precedence_arcs=arcs)
-        got = solve_opp(inst, SEARCH_ONLY)
+        got = solve_opp(inst, options=SEARCH_ONLY)
         assert (got.status == "sat") == brute_force_sat(inst)
         if got.is_sat:
             assert got.placement.is_feasible()
@@ -178,7 +182,7 @@ class TestBruteForceEquivalence:
         rng = random.Random(seed)
         inst, witness = random_feasible_instance(rng, (4, 4, 4), 5)
         assert witness.is_feasible()
-        r = solve_opp(inst, SEARCH_ONLY)
+        r = solve_opp(inst, options=SEARCH_ONLY)
         assert r.is_sat
 
 
@@ -216,10 +220,10 @@ class TestAblationConfigurations:
                 if rng.random() < 0.25
             ]
             inst = make_instance(boxes, sizes, precedence_arcs=arcs)
-            reference = solve_opp(inst, SEARCH_ONLY)
+            reference = solve_opp(inst, options=SEARCH_ONLY)
             ablated = solve_opp(
                 inst,
-                SolverOptions(
+                options=SolverOptions(
                     use_bounds=False, use_heuristics=False, propagation=config
                 ),
             )
@@ -231,7 +235,7 @@ class TestAblationConfigurations:
             n = rng.randint(2, 4)
             boxes = [tuple(rng.randint(1, 2) for _ in range(3)) for _ in range(n)]
             inst = make_instance(boxes, (3, 3, 3))
-            reference = solve_opp(inst, SEARCH_ONLY)
+            reference = solve_opp(inst, options=SEARCH_ONLY)
             solver = BranchAndBound(
                 inst, branching=BranchingOptions(strategy="static")
             )

@@ -12,8 +12,11 @@ Determinism: every test drives a fake clock or a generous real deadline —
 nothing here sleeps for its answer.
 """
 
+import time
+
 import pytest
 
+from repro.certify import certify_payload
 from repro.core.bmp import DEGRADED, minimize_area, minimize_base
 from repro.core.boxes import Box, make_instance
 from repro.core.deadline import (
@@ -22,7 +25,7 @@ from repro.core.deadline import (
     Deadline,
     DeadlineError,
 )
-from repro.core.opp import SolverOptions, solve_opp
+from repro.core.opp import OPPResult, SolverOptions, solve_opp
 from repro.core.pareto import pareto_front
 from repro.core.spp import minimize_makespan
 from repro.graphs import DiGraph
@@ -173,11 +176,11 @@ class TestDegradedSweeps:
 
         original = bmp_mod._ProbeRunner._solve_once
 
-        def tripping(self, instance, time_limit, resume_from):
+        def tripping(self, instance, resume_from):
             probes["n"] += 1
             if probes["n"] >= 3:
                 clock.advance(100.0)  # the deadline expires mid-sweep
-            return original(self, instance, time_limit, resume_from)
+            return original(self, instance, resume_from)
 
         monkeypatch.setattr(bmp_mod._ProbeRunner, "_solve_once", tripping)
         result = minimize_base(boxes, time_bound=1, deadline=deadline)
@@ -189,6 +192,45 @@ class TestDegradedSweeps:
         assert result.upper is not None
         assert result.lower is not None
         assert result.degraded["gap"] == result.upper - result.lower
+
+    def test_deadline_after_sat_probe_keeps_the_incumbent(self):
+        """Five 3x3x1 modules at h_t = 1 probe side 7 (unsat), 14 and 11
+        (sat), then 9, which stops on a per-decision cap just as the
+        deadline runs out.  The sweep returns the certified side-11
+        witness as ``degraded`` instead of dropping it."""
+        clock = FakeClock(time.monotonic())
+        deadline = Deadline.after(10.0, margin=0.0, clock=clock)
+        capped = SolverOptions(
+            node_limit=1, use_bounds=False, use_heuristics=False
+        )
+        sides = []
+
+        def engine(instance, *, deadline=None, resume_from=None):
+            side = instance.container.sizes[0]
+            sides.append(side)
+            if side == 9:
+                clock.advance(100.0)  # the deadline expires mid-probe
+                return solve_opp(
+                    instance, options=capped, resume_from=resume_from
+                )
+            return solve_opp(instance)
+
+        result = minimize_base(
+            boxes_of([(3, 3, 1)] * 5),
+            time_bound=1,
+            opp_solver=engine,
+            deadline=deadline,
+        )
+        assert sides == [7, 14, 11, 9]
+        assert result.status == DEGRADED
+        assert (result.lower, result.upper) == (8, 11)
+        assert result.degraded == {"reason": DEADLINE_LIMIT, "gap": 3}
+        witness = result.placement
+        assert witness.instance.container.sizes[:2] == (11, 11)
+        payload = OPPResult(status="sat", placement=witness).certificate_payload(
+            witness.instance
+        )
+        assert certify_payload(payload).certified
 
     def test_expired_deadline_yields_marked_unknown(self):
         clock = FakeClock()

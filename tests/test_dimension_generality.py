@@ -41,7 +41,7 @@ def brute_force_sat(instance):
 class TestTwoDimensional:
     def test_perfect_square_tiling(self):
         inst = make_instance([(2, 2)] * 4, (4, 4))
-        r = solve_opp(inst, SEARCH_ONLY)
+        r = solve_opp(inst, options=SEARCH_ONLY)
         assert r.is_sat
         assert r.placement.is_feasible()
 
@@ -51,23 +51,23 @@ class TestTwoDimensional:
         # fit (two horizontal + one vertical).  Use a genuinely infeasible
         # case: three 3x2 in 4x4 (area 18 > 16).
         inst = make_instance([(3, 2)] * 3, (4, 4))
-        assert solve_opp(inst, SEARCH_ONLY).is_unsat
+        assert solve_opp(inst, options=SEARCH_ONLY).is_unsat
 
     def test_geometry_beats_area(self):
         # Two 3x3 squares in 5x6: area 18 <= 30 but no placement exists
         # (3+3 > 5 horizontally, 3+3 == 6 vertically works!).  So SAT.
         inst = make_instance([(3, 3)] * 2, (5, 6))
-        assert solve_opp(inst, SEARCH_ONLY).is_sat
+        assert solve_opp(inst, options=SEARCH_ONLY).is_sat
         # ... and 5x5 really is infeasible.
         tight = make_instance([(3, 3)] * 2, (5, 5))
-        assert solve_opp(tight, SEARCH_ONLY).is_unsat
+        assert solve_opp(tight, options=SEARCH_ONLY).is_unsat
 
     def test_2d_precedence_on_second_axis(self):
         # With d=2 the "time" axis is axis 1 by default (-1).
         inst = make_instance(
             [(2, 2), (2, 2)], (2, 4), precedence_arcs=[(0, 1)]
         )
-        r = solve_opp(inst, SEARCH_ONLY)
+        r = solve_opp(inst, options=SEARCH_ONLY)
         assert r.is_sat
         assert r.placement.end(0, 1) <= r.placement.start(1, 1)
 
@@ -81,7 +81,7 @@ class TestTwoDimensional:
         ]
         sizes = (rng.randint(2, 3), rng.randint(2, 4))
         inst = make_instance(boxes, sizes)
-        got = solve_opp(inst, SEARCH_ONLY)
+        got = solve_opp(inst, options=SEARCH_ONLY)
         assert (got.status == "sat") == brute_force_sat(inst)
 
 
@@ -95,20 +95,20 @@ class TestFourDimensional:
 
     def test_small_tiling_by_search(self):
         inst = make_instance([(2, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1)], (2, 2, 1, 1))
-        r = solve_opp(inst, SEARCH_ONLY)
+        r = solve_opp(inst, options=SEARCH_ONLY)
         assert r.is_sat
         assert r.placement.is_feasible()
 
     def test_volume_unsat(self):
         inst = make_instance([(2, 2, 2, 2)] * 2, (2, 2, 2, 3))
-        assert solve_opp(inst, SEARCH_ONLY).is_unsat
+        assert solve_opp(inst, options=SEARCH_ONLY).is_unsat
 
     def test_4d_with_precedence(self):
         inst = make_instance(
             [(1, 1, 1, 2), (1, 1, 1, 2)], (1, 1, 1, 4),
             precedence_arcs=[(0, 1)],
         )
-        r = solve_opp(inst, SEARCH_ONLY)
+        r = solve_opp(inst, options=SEARCH_ONLY)
         assert r.is_sat
         assert r.placement.end(0, 3) <= r.placement.start(1, 3)
 
@@ -122,5 +122,5 @@ class TestFourDimensional:
         ]
         sizes = tuple(rng.randint(2, 3) for _ in range(4))
         inst = make_instance(boxes, sizes)
-        got = solve_opp(inst, SEARCH_ONLY)
+        got = solve_opp(inst, options=SEARCH_ONLY)
         assert (got.status == "sat") == brute_force_sat(inst)

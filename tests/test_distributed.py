@@ -14,6 +14,7 @@ import pytest
 
 from repro.certify import check_subtree_claim, recheck_subtree
 from repro.core.boxes import Box, Container, PackingInstance
+from repro.core.deadline import Deadline
 from repro.core.nogoods import LearningOptions
 from repro.core.opp import SolverOptions
 from repro.core.search import (
@@ -40,6 +41,7 @@ from repro.distributed import (
 )
 from repro.distributed.coordinator import INCIDENTS_NAME
 from repro.instances.random_instances import differential_instances
+from repro.io.backoff import BackoffPolicy
 from repro.io.journal import JournalWriter
 from repro.parallel.faults import DistributedFaultPlan
 from repro.distributed.queue import QUEUE_RECORD_KINDS
@@ -54,8 +56,7 @@ def fast_options(**kw):
 def inline_options(**kw):
     kw.setdefault("backend", "inline")
     kw.setdefault("target_tasks", 8)
-    kw.setdefault("backoff_base", 0.001)
-    kw.setdefault("backoff_cap", 0.01)
+    kw.setdefault("backoff", BackoffPolicy(base=0.001, cap=0.01))
     kw.setdefault("solver", fast_options())
     return DistributedOptions(**kw)
 
@@ -162,8 +163,7 @@ class TestLeaseQueue:
         q = LeaseQueue(
             make_tasks(1),
             lease_duration=1.0,
-            backoff_base=0.5,
-            backoff_cap=10.0,
+            backoff=BackoffPolicy(base=0.5, cap=10.0),
             clock=clock,
         )
         entry = q.claim("w0")
@@ -179,8 +179,7 @@ class TestLeaseQueue:
             make_tasks(1),
             lease_duration=1.0,
             reissue_budget=10,
-            backoff_base=0.5,
-            backoff_cap=1.5,
+            backoff=BackoffPolicy(base=0.5, cap=1.5),
             clock=clock,
         )
         waits = []
@@ -196,7 +195,7 @@ class TestLeaseQueue:
         q = LeaseQueue(
             make_tasks(1),
             reissue_budget=2,
-            backoff_base=0.0,
+            backoff=BackoffPolicy(base=0.0),
             clock=clock,
         )
         for _ in range(2):
@@ -209,7 +208,9 @@ class TestLeaseQueue:
         assert q.all_terminal()
 
     def test_release_worker_orphans_every_lease(self):
-        q = LeaseQueue(make_tasks(2), backoff_base=0.0, clock=FakeClock())
+        q = LeaseQueue(
+            make_tasks(2), backoff=BackoffPolicy(base=0.0), clock=FakeClock()
+        )
         a, b = q.claim("w0"), q.claim("w0")
         released = q.release_worker("w0", "process died")
         assert released == [a.task_id, b.task_id]
@@ -721,8 +722,6 @@ class TestOptionsAndTelemetry:
             DistributedOptions(backend="carrier-pigeon")
         with pytest.raises(ValueError, match="heartbeat_interval"):
             DistributedOptions(lease_duration=1.0, heartbeat_interval=1.0)
-        with pytest.raises(ValueError, match="wall_timeout"):
-            DistributedOptions(wall_timeout=0.0)
 
     def test_distributed_telemetry_counters_and_report(self):
         from repro.telemetry import Telemetry
@@ -752,14 +751,15 @@ class TestOptionsAndTelemetry:
         assert result.limit is None
         assert result.stats.elapsed > 0
 
-    def test_wall_timeout_abandons_remaining(self):
+    def test_deadline_abandons_remaining(self):
+        # The margin swallows the whole budget: expired from the start.
         inst = unsat_multitask_instance()
         result = solve_distributed(
-            inst, inline_options(wall_timeout=1e-9)
+            inst, inline_options(deadline=Deadline.after(60.0, margin=60.0))
         )
         assert result.status == "unknown"
         assert result.abandoned == result.tasks
-        assert result.stats.limit == "wall-clock timeout"
+        assert result.stats.limit == "deadline"
 
     def test_bounds_stage_short_circuits(self):
         # Two 2x2x2 boxes cannot fit a 2x2x2 container: volume bound fires.

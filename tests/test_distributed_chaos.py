@@ -8,7 +8,7 @@ heartbeats, a coordinator crash resumed from the journal — and asserts the
 distributed verdict (and, for UNSAT, the merged canonical stats) still
 matches the serial solver, with the journal audit proving exactly-once
 accounting.  CI runs this file as the ``distributed-chaos`` job under a
-wall-clock timeout, uploading ``queue.jsonl`` + ``incidents.jsonl`` on
+job-level timeout, uploading ``queue.jsonl`` + ``incidents.jsonl`` on
 failure.
 """
 
@@ -18,6 +18,7 @@ import os
 
 import pytest
 
+from repro.core.deadline import Deadline
 from repro.core.opp import SolverOptions
 from repro.core.search import BranchAndBound
 from repro.distributed import (
@@ -29,6 +30,7 @@ from repro.distributed import (
     solve_distributed,
 )
 from repro.instances.random_instances import differential_instances
+from repro.io.backoff import BackoffPolicy
 from repro.parallel.faults import DistributedFaultPlan
 
 
@@ -57,10 +59,9 @@ def process_options(tmp_path, **kw):
     kw.setdefault("workers", 2)
     kw.setdefault("backend", "process")
     kw.setdefault("target_tasks", 8)
-    kw.setdefault("backoff_base", 0.01)
-    kw.setdefault("backoff_cap", 0.1)
+    kw.setdefault("backoff", BackoffPolicy(base=0.01, cap=0.1))
     kw.setdefault("fsync", False)
-    kw.setdefault("wall_timeout", 120.0)
+    kw.setdefault("deadline", Deadline.after(120.0, margin=0))
     kw.setdefault("run_dir", str(tmp_path / "run"))
     kw.setdefault(
         "solver", SolverOptions(use_bounds=False, use_heuristics=False)

@@ -1,11 +1,13 @@
 """The unified entry point: ``repro.solve`` round-trips for every problem of
-the paper, the common result protocol, the deprecation shims for old
-positional signatures, and the public-API snapshot pinning ``repro.__all__``.
+the paper, the common result protocol, the keyword-only signatures, the
+run-level ``deadline``, and the public-API snapshot pinning
+``repro.__all__``.
 """
 
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 import repro
 from repro.core import Box, Container, PackingInstance, SolverOptions
 from repro.core.bmp import minimize_base
+from repro.core.deadline import Deadline
 from repro.core.opp import solve_opp
 from repro.core.pareto import pareto_front
 from repro.core.spp import minimize_makespan
@@ -186,25 +189,8 @@ class TestProblemNames:
 
 
 class TestDeprecationShims:
-    """Old positional call sites keep working — loudly."""
-
-    def test_solve_opp_positional_options(self):
-        instance = PackingInstance(boxes_of([(1, 1, 1)]), Container((1, 1, 1)))
-        with pytest.warns(DeprecationWarning, match="options"):
-            result = solve_opp(instance, SolverOptions())
-        assert result.status == "sat"
-
-    def test_minimize_base_positional_time_bound(self):
-        boxes, dag = two_squares()
-        with pytest.warns(DeprecationWarning, match="time_bound"):
-            result = minimize_base(boxes, dag, 2)
-        assert (result.status, result.optimum) == ("optimal", 2)
-
-    def test_pareto_positional_max_time(self):
-        boxes, dag = two_squares()
-        with pytest.warns(DeprecationWarning, match="max_time"):
-            front = pareto_front(boxes, dag, 2)
-        assert front.status == "optimal"
+    """The positional forms are gone: keyword calls stay silent, surplus
+    positionals are a plain ``TypeError``."""
 
     def test_keyword_calls_do_not_warn(self):
         boxes, dag = two_squares()
@@ -217,11 +203,58 @@ class TestDeprecationShims:
         with pytest.raises(TypeError, match="positional"):
             solve_opp(instance, None, None, None, None, None, None)
 
-    def test_positional_keyword_collision_is_a_type_error(self):
-        boxes, dag = two_squares()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="multiple values"):
-                minimize_base(boxes, dag, 2, time_bound=2)
+
+@pytest.fixture
+def tripping_deadline(monkeypatch):
+    """A factory of deadlines that expire as the sweep's ``after``-th
+    probe starts (one live deadline at a time)."""
+    import repro.core.bmp as bmp_mod
+
+    original = bmp_mod._ProbeRunner._solve_once
+    state = {}
+
+    def make(after):
+        state.update(now=time.monotonic(), probes=0, after=after)
+        return Deadline.after(10.0, margin=0.0, clock=lambda: state["now"])
+
+    def tripping(self, instance, resume_from):
+        state["probes"] += 1
+        if state["probes"] == state["after"]:
+            state["now"] += 100.0  # the deadline expires mid-sweep
+        return original(self, instance, resume_from)
+
+    monkeypatch.setattr(bmp_mod._ProbeRunner, "_solve_once", tripping)
+    return make
+
+
+class TestFacadeDeadline:
+    """``repro.solve(deadline=...)`` degrades exactly like the driver it
+    calls when the deadline trips mid-sweep."""
+
+    def test_bmp_degrades_like_minimize_base(self, tripping_deadline):
+        boxes = boxes_of([(3, 3, 1)] * 5)
+        direct = minimize_base(
+            boxes, time_bound=1, deadline=tripping_deadline(3)
+        )
+        facade = repro.solve(
+            boxes, problem="bmp", time_bound=1, deadline=tripping_deadline(3)
+        )
+        assert direct.status == facade.status == "degraded"
+        assert (facade.lower, facade.upper) == (direct.lower, direct.upper)
+        assert facade.degraded == direct.degraded
+        assert facade.placement.positions == direct.placement.positions
+
+    def test_pareto_degrades_like_pareto_front(self, tripping_deadline):
+        boxes = boxes_of([(3, 3, 1)] * 5)
+        direct = pareto_front(boxes, deadline=tripping_deadline(4))
+        facade = repro.solve(
+            boxes, problem="pareto", deadline=tripping_deadline(4)
+        )
+        assert direct.status == facade.status == "degraded"
+        assert facade.as_pairs() == direct.as_pairs()
+        assert [r.status for r in facade.results] == [
+            r.status for r in direct.results
+        ]
 
 
 class TestKernelFacade:
@@ -378,8 +411,7 @@ class TestPublicApiSnapshot:
             "workers",
             "backend",
             "cache",
-            "time_limit",
-            "deadline_budget",
+            "deadline",
             "telemetry",
         ]
         # Everything past ``problem`` is keyword-only.

@@ -179,6 +179,8 @@ class TestHeuristicMakespan:
             precedence_arcs=[(0, 2)],
         )
         heuristic = heuristic_makespan(inst)
-        exact = minimize_makespan(list(inst.boxes), inst.precedence, (2, 2))
+        exact = minimize_makespan(
+            list(inst.boxes), inst.precedence, chip=(2, 2)
+        )
         assert exact.status == "optimal"
         assert heuristic >= exact.optimum

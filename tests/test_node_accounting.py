@@ -28,6 +28,7 @@ import pytest
 
 from repro.core import BranchAndBound, LearningOptions, SolverOptions, solve_opp
 from repro.core.bmp import _ProbeRunner
+from repro.core.deadline import Deadline
 from repro.core.kernels import available
 from repro.core.search import BranchingOptions, SearchStats
 from repro.instances.random_instances import random_instance
@@ -170,7 +171,7 @@ class TestBudgetedResumeCarry:
             options=SolverOptions(
                 fault_plan=FaultPlan(raise_at_node=7), **SEARCH_ONLY
             ),
-            budget=60.0,
+            deadline=Deadline.after(60.0, margin=0),
         )
         return runner, runner.solve(_searchy_instance())
 

@@ -48,7 +48,9 @@ def sweep():
     records = []
     for index, instance in enumerate(differential_instances(SEED, COUNT)):
         portfolio = solver.solve(instance)
-        sequential = solve_opp(instance, SolverOptions(node_limit=NODE_LIMIT))
+        sequential = solve_opp(
+            instance, options=SolverOptions(node_limit=NODE_LIMIT)
+        )
         baseline = solve_opp_geometric(instance, node_limit=BASELINE_NODE_LIMIT)
         records.append((index, instance, portfolio, sequential, baseline))
     solver.close()
@@ -108,7 +110,9 @@ def test_process_backend_agrees_with_serial():
     with PortfolioSolver(workers=2, backend="process") as solver:
         for index, instance in enumerate(differential_instances(SEED + 1, 12)):
             parallel = solver.solve(instance)
-            sequential = solve_opp(instance, SolverOptions(node_limit=NODE_LIMIT))
+            sequential = solve_opp(
+                instance, options=SolverOptions(node_limit=NODE_LIMIT)
+            )
             assert parallel.status == sequential.status, (
                 f"instance {SEED + 1}/{index}: "
                 f"{parallel.backend}={parallel.status} "
@@ -122,7 +126,9 @@ def test_thread_backend_agrees_with_serial():
     with PortfolioSolver(workers=2, backend="thread") as solver:
         for index, instance in enumerate(differential_instances(SEED + 2, 12)):
             parallel = solver.solve(instance)
-            sequential = solve_opp(instance, SolverOptions(node_limit=NODE_LIMIT))
+            sequential = solve_opp(
+                instance, options=SolverOptions(node_limit=NODE_LIMIT)
+            )
             assert parallel.status == sequential.status, f"instance {SEED + 2}/{index}"
             if parallel.is_sat:
                 _check_witness(instance, parallel.placement, f"thread[{index}]")
@@ -161,7 +167,9 @@ def test_extended_differential_sweep():
     solver = PortfolioSolver(backend="serial")
     for index, instance in enumerate(differential_instances(SEED + 17, 400)):
         portfolio = solver.solve(instance)
-        sequential = solve_opp(instance, SolverOptions(node_limit=NODE_LIMIT))
+        sequential = solve_opp(
+            instance, options=SolverOptions(node_limit=NODE_LIMIT)
+        )
         baseline = solve_opp_geometric(instance, node_limit=BASELINE_NODE_LIMIT)
         _agree(
             index,

@@ -105,9 +105,11 @@ class TestSolveNormalized:
             if rng.random() < 0.3
         ]
         inst = make_instance(boxes, sizes, precedence_arcs=arcs)
-        direct = solve_opp(inst, SolverOptions(use_bounds=False, use_heuristics=False))
+        direct = solve_opp(
+            inst, options=SolverOptions(use_bounds=False, use_heuristics=False)
+        )
         viapre = solve_opp_normalized(
-            inst, SolverOptions(use_bounds=False, use_heuristics=False)
+            inst, options=SolverOptions(use_bounds=False, use_heuristics=False)
         )
         assert direct.status == viapre.status
 
@@ -123,8 +125,10 @@ class TestSolveNormalized:
         ]
         sizes = (2 * rng.randint(1, 3) + 1, 3, 3)  # odd x extent, even widths
         inst = make_instance(boxes, sizes)
-        direct = solve_opp(inst, SolverOptions(use_bounds=False, use_heuristics=False))
+        direct = solve_opp(
+            inst, options=SolverOptions(use_bounds=False, use_heuristics=False)
+        )
         viapre = solve_opp_normalized(
-            inst, SolverOptions(use_bounds=False, use_heuristics=False)
+            inst, options=SolverOptions(use_bounds=False, use_heuristics=False)
         )
         assert direct.status == viapre.status

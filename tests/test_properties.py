@@ -38,7 +38,7 @@ def test_bounds_unsat_implies_search_unsat():
         if with_bounds.status == "unsat" and with_bounds.stage == "bounds":
             no_bounds = solve_opp(
                 instance,
-                SolverOptions(use_bounds=False, node_limit=500_000),
+                options=SolverOptions(use_bounds=False, node_limit=500_000),
             )
             assert no_bounds.status == "unsat", (
                 f"bounds claimed unsat, search found {no_bounds.status} on "
@@ -75,7 +75,9 @@ def test_fixed_seed_is_deterministic():
     def run():
         outcomes = []
         for instance in differential_instances(SEED + 2, 40):
-            result = solve_opp(instance, SolverOptions(node_limit=200_000))
+            result = solve_opp(
+                instance, options=SolverOptions(node_limit=200_000)
+            )
             outcomes.append(
                 (
                     result.status,
@@ -95,8 +97,8 @@ def test_annealing_seed_is_deterministic():
     rng = random.Random(SEED + 3)
     instance, _ = random_feasible_instance(rng, container=(5, 5, 5), num_boxes=6)
     options = SolverOptions(use_annealing=True, annealing_seed=7)
-    first = solve_opp(instance, options)
-    second = solve_opp(instance, options)
+    first = solve_opp(instance, options=options)
+    second = solve_opp(instance, options=options)
     assert first.status == second.status == "sat"
     assert first.placement.positions == second.placement.positions
 
@@ -110,7 +112,9 @@ def _hard_instance():
 def test_node_limit_exit_finalizes_stats():
     result = solve_opp(
         _hard_instance(),
-        SolverOptions(use_bounds=False, use_heuristics=False, node_limit=50),
+        options=SolverOptions(
+            use_bounds=False, use_heuristics=False, node_limit=50
+        ),
     )
     assert result.status == "unknown"
     assert result.limit == "node limit"
@@ -121,7 +125,9 @@ def test_node_limit_exit_finalizes_stats():
 def test_time_limit_exit_finalizes_stats():
     result = solve_opp(
         _hard_instance(),
-        SolverOptions(use_bounds=False, use_heuristics=False, time_limit=0.0),
+        options=SolverOptions(
+            use_bounds=False, use_heuristics=False, time_limit=0.0
+        ),
     )
     assert result.status == "unknown"
     assert result.limit == "time limit"
@@ -157,7 +163,7 @@ def test_stats_elapsed_set_on_every_stage():
 def test_cancellation_reports_reason():
     result = solve_opp(
         _hard_instance(),
-        SolverOptions(use_bounds=False, use_heuristics=False),
+        options=SolverOptions(use_bounds=False, use_heuristics=False),
         should_stop=lambda: True,
     )
     assert result.status == "unknown"
@@ -176,5 +182,5 @@ def test_options_do_not_change_verdicts():
     ]
     for _ in range(40):
         instance = random_mixed_instance(rng, max_container=4, max_boxes=4)
-        verdicts = {solve_opp(instance, v).status for v in variants}
+        verdicts = {solve_opp(instance, options=v).status for v in variants}
         assert len(verdicts) == 1, f"options changed the verdict: {verdicts}"

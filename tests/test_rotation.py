@@ -91,8 +91,8 @@ class TestExactRotation:
             for _ in range(n)
         ]
         inst = make_instance(boxes, (3, 3, 3))
-        fixed = solve_opp(inst, SEARCH_ONLY)
-        free = solve_opp_with_rotation(inst, SEARCH_ONLY)
+        fixed = solve_opp(inst, options=SEARCH_ONLY)
+        free = solve_opp_with_rotation(inst, options=SEARCH_ONLY)
         if fixed.status == "sat":
             assert free.status == "sat"
         if free.placement is not None:
