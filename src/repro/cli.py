@@ -14,7 +14,13 @@ Subcommands regenerate the paper's experiments and solve user instances:
 * ``svg``    — render a Gantt chart / floorplans for a design point;
 * ``batch``  — crash-safe batch solving over a manifest (``--resume``
   continues an interrupted batch from its journal; see docs/robustness.md);
+* ``dsolve`` — distributed decision of one instance over leased subtrees;
+* ``serve``  — the solver-as-a-service daemon (see docs/service.md);
 * ``certify`` — independently re-audit a batch directory's results.
+
+``solve``, ``bmp``, ``spp``, ``area``, ``pareto`` and ``svg`` answer
+through :func:`repro.solve` with one shared set of flags, and keep only
+their own printing.
 
 Task-graph JSON files follow :func:`repro.io.serialize.task_graph_to_dict`;
 the built-in benchmarks are available as ``@de``, ``@codec``, ``@fir<N>``
@@ -24,24 +30,33 @@ and ``@fft<N>`` (e.g. ``repro-fpga bmp @de --time 14``).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+from contextlib import contextmanager
 from typing import List, Optional
 
-from .core.bmp import minimize_base
-from .core.deadline import DEADLINE_LIMIT, Deadline, DeadlineError
+from .api import solve
+from .core.bmp import minimize_area, minimize_base
+from .core.deadline import DEADLINE_LIMIT, Deadline
 from .core.kernels import (
     UnknownKernelError,
     available as available_kernels,
     resolve as resolve_kernel,
 )
-from .core.nogoods import LearningOptions
-from .core.opp import SolverOptions, solve_opp
-from .fpga import explore_tradeoffs, minimize_latency, place, square_chip
+from .core.opp import SolverOptions
+from .fpga import (
+    Chip,
+    ReconfigurationSchedule,
+    explore_tradeoffs,
+    minimize_latency,
+    place,
+    square_chip,
+)
 from .instances.de import TABLE_1, de_task_graph
 from .instances.video_codec import TABLE_2, codec_task_graph
 from .io.report import format_table, pareto_report, table1_report
-from .io.serialize import instance_from_dict, loads
+from .io.serialize import instance_from_dict, loads, task_graph_from_dict
 from .telemetry import Telemetry
 
 # Exit codes: conclusive answers are distinguishable by code alone, so
@@ -89,13 +104,10 @@ def exit_code_for_status(status: str) -> int:
 def _deadline(args: argparse.Namespace) -> Optional[Deadline]:
     """The invocation's end-to-end :class:`Deadline` (``--deadline SEC``),
     born here — every layer underneath shares this one object."""
-    seconds = getattr(args, "deadline", None)
-    if seconds is None:
+    if args.deadline is None:
         return None
-    try:
-        return Deadline.after(seconds)
-    except DeadlineError as exc:
-        raise _InputError(str(exc)) from exc
+    with _bad_option():
+        return Deadline.after(args.deadline)
 
 
 def _deadline_degraded(result: object) -> bool:
@@ -122,23 +134,52 @@ def _finish(result: object) -> int:
     return exit_code_for_status(getattr(result, "status", "error"))
 
 
-def _telemetry(args: argparse.Namespace):
-    """The CLI-invocation telemetry (``None`` unless --trace/--metrics)."""
-    return getattr(args, "telemetry", None)
+@contextmanager
+def _bad_option():
+    """Turn a bad option value into an input error (exit 4).  Wraps only
+    the building of options: a ``ValueError`` from inside a solve is a bug
+    and must stay one (exit 1)."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise _InputError(str(exc)) from exc
 
 
 def _make_cache(args: argparse.Namespace):
     """A disk-backed verdict cache when ``--cache DIR`` was given."""
-    path = getattr(args, "cache", None)
-    if path is None:
+    if args.cache is None:
         return None
     from .parallel import ResultCache
 
-    cache = ResultCache(disk_path=path)
-    telemetry = _telemetry(args)
-    if telemetry is not None:
-        cache.instrument(telemetry)
-    return cache
+    with _bad_option():
+        cache = ResultCache(disk_path=args.cache)
+    return cache.instrument(args.telemetry)
+
+
+def _chip(args: argparse.Namespace) -> Chip:
+    """``--width`` x ``--height`` (square when the height is omitted)."""
+    with _bad_option():
+        return Chip(args.width, args.height or args.width)
+
+
+def _solve(args: argparse.Namespace, instance, problem: str, **keywords):
+    """Answer one question of a solver command through :func:`repro.solve`:
+    the shared flags become its keywords, and ``keywords`` carries the
+    problem's own (``time_bound``, ``chip``, …)."""
+    with _bad_option():
+        options = SolverOptions(time_limit=args.time_limit)
+    return solve(
+        instance,
+        problem,
+        options=options,
+        kernel=args.kernel,
+        learning=args.learning,
+        workers=args.workers,
+        cache=_make_cache(args),
+        deadline=_deadline(args),
+        telemetry=args.telemetry,
+        **keywords,
+    )
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
@@ -149,7 +190,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             graph.boxes(),
             graph.dependency_dag(),
             time_bound=time_bound,
-            telemetry=_telemetry(args),
+            telemetry=args.telemetry,
         )
         results.append((time_bound, result))
     print("Table 1 — DE benchmark, minimal square chip per deadline (MinA&FindS)")
@@ -160,13 +201,13 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _cmd_table2(args: argparse.Namespace) -> int:
     graph = codec_task_graph()
     start = time.monotonic()
-    outcome = minimize_latency(graph, square_chip(64), telemetry=_telemetry(args))
+    outcome = minimize_latency(graph, square_chip(64), telemetry=args.telemetry)
     elapsed = time.monotonic() - start
     smaller = place(
         graph,
         square_chip(63),
         TABLE_2["latency"] * 4,
-        telemetry=_telemetry(args),
+        telemetry=args.telemetry,
     )
     print("Table 2 — video codec (H.261), minimal latency on the smallest chip")
     print(
@@ -190,10 +231,10 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 def _cmd_fig7(args: argparse.Namespace) -> int:
     graph = de_task_graph()
     with_prec = explore_tradeoffs(
-        graph, with_dependencies=True, telemetry=_telemetry(args)
+        graph, with_dependencies=True, telemetry=args.telemetry
     )
     without_prec = explore_tradeoffs(
-        graph, with_dependencies=False, telemetry=_telemetry(args)
+        graph, with_dependencies=False, telemetry=args.telemetry
     )
     print("Figure 7 — DE benchmark, area/latency trade-off")
     print(pareto_report(with_prec, "with precedence constraints, solid"))
@@ -219,32 +260,14 @@ def _load_input(path: str, parse, what: str):
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_input(args.instance, instance_from_dict, "instance file")
-    cache = _make_cache(args)
-    deadline = _deadline(args)
+    result = _solve(args, instance, "opp")
     if args.workers and args.workers > 1:
-        from .parallel import solve_opp_portfolio
-
-        portfolio = solve_opp_portfolio(
-            instance,
-            workers=args.workers,
-            cache=cache,
-            time_limit=args.time_limit,
-            deadline=deadline,
-            telemetry=_telemetry(args),
-        )
-        result = portfolio.to_opp_result()
         print(
-            f"status: {result.status} (stage: {portfolio.stage}, "
-            f"winner: {portfolio.winner}, backend: {portfolio.backend}, "
-            f"nodes: {portfolio.stats.nodes}, {portfolio.elapsed:.3f}s)"
+            f"status: {result.status} (stage: {result.stage}, "
+            f"winner: {result.winner}, backend: {result.backend}, "
+            f"nodes: {result.stats.nodes}, {result.elapsed:.3f}s)"
         )
     else:
-        result = solve_opp(
-            instance,
-            options=_solver_options(args, deadline),
-            cache=cache,
-            telemetry=_telemetry(args),
-        )
         print(f"status: {result.status} (stage: {result.stage})")
     if result.certificate:
         print(f"certificate: {result.certificate}")
@@ -277,18 +300,19 @@ def _cmd_dsolve(args: argparse.Namespace) -> int:
     if args.resume:
         if args.out is None:
             raise _InputError("--resume needs --out DIR (the run directory)")
-        options = DistributedOptions(
-            workers=args.workers,
-            backend=args.backend,
-            lease_duration=args.lease_duration,
-            heartbeat_interval=args.heartbeat_interval,
-            reissue_budget=args.reissue_budget,
-            deterministic=args.deterministic,
-            deadline=deadline,
-        )
+        with _bad_option():
+            options = DistributedOptions(
+                workers=args.workers,
+                backend=args.backend,
+                lease_duration=args.lease_duration,
+                heartbeat_interval=args.heartbeat_interval,
+                reissue_budget=args.reissue_budget,
+                deterministic=args.deterministic,
+                deadline=deadline,
+            )
         try:
             result = DistributedSolver.resume(
-                args.out, options, telemetry=_telemetry(args)
+                args.out, options, telemetry=args.telemetry
             )
         except (ValueError, OSError) as exc:
             raise _InputError(f"cannot resume {args.out!r}: {exc}") from exc
@@ -298,22 +322,27 @@ def _cmd_dsolve(args: argparse.Namespace) -> int:
         instance = _load_input(
             args.instance, instance_from_dict, "instance file"
         )
-        options = DistributedOptions(
-            workers=args.workers,
-            backend=args.backend,
-            target_tasks=args.target_tasks,
-            lease_duration=args.lease_duration,
-            heartbeat_interval=args.heartbeat_interval,
-            reissue_budget=args.reissue_budget,
-            deterministic=args.deterministic,
-            recheck_unsat=args.recheck_unsat,
-            run_dir=args.out,
-            solver=_solver_options(args),
-            share_nogoods=args.learning,
-            deadline=deadline,
-        )
+        with _bad_option():
+            options = DistributedOptions(
+                workers=args.workers,
+                backend=args.backend,
+                target_tasks=args.target_tasks,
+                lease_duration=args.lease_duration,
+                heartbeat_interval=args.heartbeat_interval,
+                reissue_budget=args.reissue_budget,
+                deterministic=args.deterministic,
+                recheck_unsat=args.recheck_unsat,
+                run_dir=args.out,
+                solver=SolverOptions(
+                    time_limit=args.time_limit,
+                    kernel=args.kernel,
+                    learning=args.learning,
+                ),
+                share_nogoods=args.learning,
+                deadline=deadline,
+            )
         result = solve_distributed(
-            instance, options, telemetry=_telemetry(args)
+            instance, options, telemetry=args.telemetry
         )
     print(
         f"status: {result.status} (stage: {result.stage}, "
@@ -353,15 +382,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print()
     print("Extensions (beyond the paper)")
     print("-" * 29)
-    from .core.bmp import minimize_area
-
     graph = de_task_graph()
     start = time.monotonic()
     area = minimize_area(
         graph.boxes(),
         graph.dependency_dag(),
         time_bound=6,
-        telemetry=_telemetry(args),
+        telemetry=args.telemetry,
     )
     print(
         f"free-aspect DE chip at h_t=6: {area.width}x{area.height} "
@@ -373,7 +400,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     graph = de_task_graph()
-    outcome = place(graph, square_chip(32), 6, telemetry=_telemetry(args))
+    outcome = place(graph, square_chip(32), 6, telemetry=args.telemetry)
     if not outcome.is_feasible or outcome.schedule is None:
         print("demo placement unexpectedly failed", file=sys.stderr)
         return 1
@@ -411,144 +438,55 @@ def _load_graph(spec: str):
             f"unknown builtin graph {spec!r} "
             "(available: @de, @codec, @fir<N>, @fft<N>)"
         )
-    from .io.serialize import task_graph_from_dict
-
     return _load_input(spec, task_graph_from_dict, "task-graph file")
 
 
-def _solver_options(
-    args: argparse.Namespace, deadline: Optional[Deadline] = None
-) -> SolverOptions:
-    try:
-        return SolverOptions(
-            time_limit=args.time_limit,
-            kernel=getattr(args, "kernel", "bitmask"),
-            learning=LearningOptions(
-                enabled=getattr(args, "learning", False)
-            ),
-            deadline=deadline,
-        )
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
-
-
-def _probe_engine(args: argparse.Namespace):
-    """Cache + optional portfolio probe engine for optimizer commands.
-
-    Returns ``(cache, opp_solver, close)``: with ``--workers N > 1`` every
-    OPP probe of the monotone sweep races the portfolio on a shared pool,
-    each race capped by ``--time-limit`` and clipped to the sweep's
-    ``--deadline``; ``close`` must be called when the command is done.
-    """
-    cache = _make_cache(args)
-    workers = getattr(args, "workers", None)
-    if not workers or workers <= 1:
-        return cache, None, (lambda: None)
-    from .parallel import PortfolioSolver
-
-    solver = PortfolioSolver(
-        workers=workers, cache=cache, telemetry=_telemetry(args)
-    )
-
-    def opp_solver(instance, *, deadline=None, resume_from=None):
-        return solver.solve(
-            instance,
-            time_limit=args.time_limit,
-            deadline=deadline,
-            resume_from=resume_from,
-        ).to_opp_result()
-
-    return cache, opp_solver, solver.close
-
-
 def _cmd_bmp(args: argparse.Namespace) -> int:
-    from .fpga import minimize_chip
-
     graph = _load_graph(args.graph)
-    deadline = _deadline(args)
-    cache, opp_solver, close = _probe_engine(args)
-    try:
-        outcome = minimize_chip(
-            graph,
-            args.time,
-            options=_solver_options(args),
-            cache=cache,
-            opp_solver=opp_solver,
-            deadline=deadline,
-            telemetry=_telemetry(args),
-        )
-    finally:
-        close()
+    result = _solve(args, graph, "bmp", time_bound=args.time)
     print(f"{graph}: deadline {args.time}")
-    if outcome.status != "optimal":
-        print(f"status: {outcome.status}")
-        if outcome.status == "degraded" and outcome.chip is not None:
-            details = outcome.details
+    if result.status != "optimal":
+        print(f"status: {result.status}")
+        if result.status == "degraded" and result.placement is not None:
             print(
-                f"incumbent chip: {outcome.chip.width}x{outcome.chip.height}"
-                f" (proven bounds [{details.lower}, {details.upper}])"
+                f"incumbent chip: {result.upper}x{result.upper}"
+                f" (proven bounds [{result.lower}, {result.upper}])"
             )
-        return _finish(outcome.details or outcome)
-    print(f"minimal square chip: {outcome.optimum}x{outcome.optimum}")
-    if args.show_schedule and outcome.schedule is not None:
-        print(outcome.schedule.table())
+        return _finish(result)
+    print(f"minimal square chip: {result.optimum}x{result.optimum}")
+    if args.show_schedule and result.placement is not None:
+        schedule = ReconfigurationSchedule.from_placement(
+            graph, square_chip(result.optimum), result.placement
+        )
+        print(schedule.table())
     return EXIT_OK
 
 
 def _cmd_spp(args: argparse.Namespace) -> int:
-    from .fpga import Chip, minimize_latency
-
     graph = _load_graph(args.graph)
-    chip = Chip(args.width, args.height or args.width)
-    deadline = _deadline(args)
-    cache, opp_solver, close = _probe_engine(args)
-    try:
-        outcome = minimize_latency(
-            graph,
-            chip,
-            options=_solver_options(args),
-            cache=cache,
-            opp_solver=opp_solver,
-            deadline=deadline,
-            telemetry=_telemetry(args),
-        )
-    finally:
-        close()
+    chip = _chip(args)
+    result = _solve(args, graph, "spp", chip=chip)
     print(f"{graph}: chip {chip}")
-    if outcome.status != "optimal":
-        print(f"status: {outcome.status}")
-        if outcome.status == "degraded" and outcome.details is not None:
-            details = outcome.details
+    if result.status != "optimal":
+        print(f"status: {result.status}")
+        if result.status == "degraded":
             print(
-                f"incumbent latency: {details.upper} cycles "
-                f"(proven bounds [{details.lower}, {details.upper}])"
+                f"incumbent latency: {result.upper} cycles "
+                f"(proven bounds [{result.lower}, {result.upper}])"
             )
-        return _finish(outcome.details or outcome)
-    print(f"minimal latency: {outcome.optimum} cycles")
-    if args.show_schedule and outcome.schedule is not None:
-        print(outcome.schedule.gantt())
+        return _finish(result)
+    print(f"minimal latency: {result.optimum} cycles")
+    if args.show_schedule and result.placement is not None:
+        schedule = ReconfigurationSchedule.from_placement(
+            graph, chip, result.placement
+        )
+        print(schedule.gantt())
     return EXIT_OK
 
 
 def _cmd_area(args: argparse.Namespace) -> int:
-    from .core.bmp import minimize_area
-
     graph = _load_graph(args.graph)
-    deadline = _deadline(args)
-    cache, opp_solver, close = _probe_engine(args)
-    try:
-        result = minimize_area(
-            graph.boxes(),
-            graph.dependency_dag() if graph.arcs() else None,
-            time_bound=args.time,
-            options=_solver_options(args),
-            cache=cache,
-            opp_solver=opp_solver,
-            deadline=deadline,
-            telemetry=_telemetry(args),
-        )
-    finally:
-        close()
+    result = _solve(args, graph, "area", time_bound=args.time)
     print(f"{graph}: deadline {args.time}")
     if result.status != "optimal":
         print(f"status: {result.status}")
@@ -567,20 +505,12 @@ def _cmd_area(args: argparse.Namespace) -> int:
 
 def _cmd_pareto(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
-    deadline = _deadline(args)
-    cache, opp_solver, close = _probe_engine(args)
-    try:
-        front = explore_tradeoffs(
-            graph,
-            with_dependencies=not args.ignore_dependencies,
-            options=_solver_options(args),
-            cache=cache,
-            opp_solver=opp_solver,
-            deadline=deadline,
-            telemetry=_telemetry(args),
-        )
-    finally:
-        close()
+    front = _solve(
+        args,
+        graph,
+        "pareto",
+        with_dependencies=not args.ignore_dependencies,
+    )
     print(pareto_report(front, str(graph)))
     if front.status == "degraded":
         print(
@@ -593,21 +523,23 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
 
 
 def _cmd_svg(args: argparse.Namespace) -> int:
-    from .fpga import Chip
     from .io.svg import schedule_floorplan_svg, schedule_gantt_svg
 
     graph = _load_graph(args.graph)
-    chip = Chip(args.width, args.height or args.width)
-    outcome = place(graph, chip, args.time, telemetry=_telemetry(args))
-    if not outcome.is_feasible or outcome.schedule is None:
-        print(f"status: {outcome.status} ({outcome.certificate})")
-        return 1
+    chip = _chip(args)
+    result = _solve(args, graph, "opp", chip=chip, time_bound=args.time)
+    if result.status != "sat" or result.placement is None:
+        print(f"status: {result.status} ({result.certificate})")
+        return _finish(result)
+    schedule = ReconfigurationSchedule.from_placement(
+        graph, chip, result.placement
+    )
     gantt_path = f"{args.output}_gantt.svg"
     floorplan_path = f"{args.output}_floorplan.svg"
     with open(gantt_path, "w", encoding="utf-8") as handle:
-        handle.write(schedule_gantt_svg(outcome.schedule))
+        handle.write(schedule_gantt_svg(schedule))
     with open(floorplan_path, "w", encoding="utf-8") as handle:
-        handle.write(schedule_floorplan_svg(outcome.schedule))
+        handle.write(schedule_floorplan_svg(schedule))
     print(f"wrote {gantt_path} and {floorplan_path}")
     return 0
 
@@ -636,23 +568,22 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         stop.set()
 
     deadline = _deadline(args)
-    runner = BatchRunner(
-        args.out,
-        options=SolverOptions(
-            kernel=args.kernel,
-            learning=LearningOptions(enabled=args.learning),
-            deadline=deadline,
-        ),
-        workers=args.workers,
-        cache=_make_cache(args),
-        time_limit=args.instance_time_limit,
-        memory_limit_mb=args.memory_limit_mb,
-        checkpoint_interval=args.checkpoint_interval,
-        certify=not args.no_certify,
-        recheck_nodes=args.recheck_nodes,
-        telemetry=_telemetry(args),
-        stop_event=stop,
-    )
+    with _bad_option():
+        runner = BatchRunner(
+            args.out,
+            options=SolverOptions(
+                kernel=args.kernel, learning=args.learning, deadline=deadline
+            ),
+            workers=args.workers,
+            cache=_make_cache(args),
+            time_limit=args.instance_time_limit,
+            memory_limit_mb=args.memory_limit_mb,
+            checkpoint_interval=args.checkpoint_interval,
+            certify=not args.no_certify,
+            recheck_nodes=args.recheck_nodes,
+            telemetry=args.telemetry,
+            stop_event=stop,
+        )
     previous = {}
     for signum in (signal.SIGINT, signal.SIGTERM):
         try:
@@ -716,8 +647,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     """Independently re-audit a batch directory (see :mod:`repro.certify`)."""
-    import os
-
     from .certify import certify_batch_dir
     from .io.journal import JOURNAL_NAME
 
@@ -758,21 +687,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """
     from .service import ServiceConfig, run_service
 
-    config = ServiceConfig(
-        state_dir=args.dir,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_capacity=args.queue_capacity,
-        concurrency=args.max_concurrency,
-        tenant_seconds=args.tenant_seconds,
-        tenant_nodes=args.tenant_nodes,
-        cache_dir=args.cache,
-        time_limit=args.time_limit,
-        checkpoint_interval=args.checkpoint_interval,
-        fsync=args.fsync,
-        resume=args.resume,
-    )
+    with _bad_option():
+        if args.cache is not None:
+            os.makedirs(args.cache, exist_ok=True)
+        config = ServiceConfig(
+            state_dir=args.dir,
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            queue_capacity=args.queue_capacity,
+            concurrency=args.max_concurrency,
+            tenant_seconds=args.tenant_seconds,
+            tenant_nodes=args.tenant_nodes,
+            cache_dir=args.cache,
+            time_limit=args.time_limit,
+            checkpoint_interval=args.checkpoint_interval,
+            fsync=args.fsync,
+            resume=args.resume,
+        )
     try:
         return run_service(config)
     except ValueError as exc:
@@ -811,6 +743,43 @@ def build_parser() -> argparse.ArgumentParser:
         "after the command finishes",
     )
 
+    # Search flags, shared by every command that runs the search.
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument(
+        "--kernel", type=_kernel_arg, metavar=kernel_names,
+        default="bitmask",
+        help="search kernel from the registry (default: bitmask; see "
+        "docs/performance.md)",
+    )
+    search.add_argument(
+        "--learning", action=argparse.BooleanOptionalAction, default=False,
+        help="conflict learning in the search: nogood recording, Luby "
+        "restarts, conflict-guided branching (see docs/performance.md)",
+    )
+    # Flags of the commands that answer through repro.solve.
+    facade = argparse.ArgumentParser(add_help=False)
+    facade.add_argument(
+        "--time-limit", type=float, default=None, metavar="SEC",
+        help="per-decision cap: seconds each OPP decision may search "
+        "before it answers unknown (exit 3)",
+    )
+    facade.add_argument(
+        "--deadline", type=float, default=None, metavar="SEC",
+        help="wall-clock deadline for the whole invocation, across all "
+        "probes of a sweep; when it expires the answer degrades to the "
+        "certified incumbent plus proven bounds (exit 6)",
+    )
+    facade.add_argument(
+        "--workers", type=int, default=None,
+        help="race a portfolio of solver configurations on N workers "
+        "for every OPP decision",
+    )
+    facade.add_argument(
+        "--cache", default=None, metavar="DIR",
+        help="directory for the on-disk verdict cache (created if "
+        "missing); repeated runs reuse conclusive verdicts",
+    )
+
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser(
         "table1", help="reproduce Table 1 (DE benchmark BMP)", parents=[observe]
@@ -821,37 +790,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "fig7", help="reproduce Figure 7 (Pareto fronts)", parents=[observe]
     )
-    solve = sub.add_parser(
-        "solve", help="decide a JSON packing instance", parents=[observe]
+    solve_cmd = sub.add_parser(
+        "solve", help="decide a JSON packing instance",
+        parents=[observe, search, facade],
     )
-    solve.add_argument("instance", help="path to a JSON instance file")
-    solve.add_argument(
-        "--time-limit", type=float, default=None, help="seconds before giving up"
-    )
-    solve.add_argument(
-        "--deadline", type=float, default=None, metavar="SEC",
-        help="end-to-end wall-clock deadline for the whole invocation; "
-        "when it expires the answer degrades explicitly (exit 6)",
-    )
-    solve.add_argument(
-        "--kernel", type=_kernel_arg, metavar=kernel_names,
-        default="bitmask",
-        help="search kernel from the registry (default: bitmask; see "
-        "docs/performance.md)",
-    )
-    solve.add_argument(
-        "--learning", action=argparse.BooleanOptionalAction, default=False,
-        help="conflict learning in the search: nogood recording, Luby "
-        "restarts, conflict-guided branching (see docs/performance.md)",
-    )
-    solve.add_argument(
-        "--workers", type=int, default=None,
-        help="race a portfolio of solver configurations on N workers",
-    )
-    solve.add_argument(
-        "--cache", default=None, metavar="DIR",
-        help="directory for the on-disk verdict cache (created if missing)",
-    )
+    solve_cmd.add_argument("instance", help="path to a JSON instance file")
     sub.add_parser(
         "demo", help="small end-to-end placement demo", parents=[observe]
     )
@@ -859,44 +802,12 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="run the complete reproduction record", parents=[observe]
     )
 
-    def graph_command(name: str, help_text: str, optimizer: bool = True):
-        cmd = sub.add_parser(name, help=help_text, parents=[observe])
+    def graph_command(name: str, help_text: str):
+        cmd = sub.add_parser(
+            name, help=help_text, parents=[observe, search, facade]
+        )
         cmd.add_argument(
             "graph", help="task-graph JSON path or a builtin (@de, @codec, @fir8, @fft8)"
-        )
-        cmd.add_argument(
-            "--time-limit", type=float, default=None,
-            help="per-OPP seconds before giving up",
-        )
-        cmd.add_argument(
-            "--kernel", type=_kernel_arg, metavar=kernel_names,
-            default="bitmask",
-            help="search kernel from the registry (default: bitmask; see "
-            "docs/performance.md)",
-        )
-        cmd.add_argument(
-            "--learning", action=argparse.BooleanOptionalAction,
-            default=False,
-            help="conflict learning in the search (nogoods, restarts, "
-            "conflict-guided branching)",
-        )
-        if optimizer:
-            cmd.add_argument(
-                "--deadline", type=float, default=None, metavar="SEC",
-                help="wall-clock deadline across ALL probes of the sweep "
-                "(interrupted probes resume from checkpoints); when it "
-                "expires the result degrades to the certified incumbent "
-                "plus proven bounds (exit 6)",
-            )
-        cmd.add_argument(
-            "--workers", type=int, default=None,
-            help="race a portfolio of solver configurations on N workers "
-            "for every OPP probe",
-        )
-        cmd.add_argument(
-            "--cache", default=None, metavar="DIR",
-            help="directory for the on-disk verdict cache (created if "
-            "missing); repeated sweeps reuse conclusive verdicts",
         )
         return cmd
 
@@ -918,7 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop the precedence constraints (Fig. 7's dashed curve)",
     )
 
-    svg = graph_command("svg", "render SVG Gantt chart + floorplans", optimizer=False)
+    svg = graph_command("svg", "render SVG Gantt chart + floorplans")
     svg.add_argument("--width", type=int, required=True)
     svg.add_argument("--height", type=int, default=None)
     svg.add_argument("--time", type=int, required=True)
@@ -928,7 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
         "batch",
         help="crash-safe batch solving with a durable journal "
         "(docs/robustness.md)",
-        parents=[observe],
+        parents=[observe, search],
     )
     batch.add_argument(
         "manifest", nargs="?", default=None,
@@ -967,16 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="race the solver portfolio on N workers per instance",
     )
     batch.add_argument(
-        "--kernel", type=_kernel_arg, metavar=kernel_names,
-        default="bitmask",
-        help="search kernel for the solves",
-    )
-    batch.add_argument(
-        "--learning", action=argparse.BooleanOptionalAction, default=False,
-        help="conflict learning in the search (nogoods, restarts, "
-        "conflict-guided branching)",
-    )
-    batch.add_argument(
         "--no-certify", action="store_true",
         help="skip inline certification of results (certify later with "
         "the certify subcommand)",
@@ -994,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dsolve",
         help="distributed decision of one instance: leased subtrees, "
         "certified claims, deterministic merge (docs/robustness.md)",
-        parents=[observe],
+        parents=[observe, search],
     )
     dsolve.add_argument(
         "instance", nargs="?", default=None,
@@ -1056,17 +957,6 @@ def build_parser() -> argparse.ArgumentParser:
     dsolve.add_argument(
         "--time-limit", type=float, default=None,
         help="per-subtree seconds before a worker gives up",
-    )
-    dsolve.add_argument(
-        "--kernel", type=_kernel_arg, metavar=kernel_names,
-        default="bitmask",
-        help="search kernel for the workers",
-    )
-    dsolve.add_argument(
-        "--learning", action=argparse.BooleanOptionalAction, default=False,
-        help="conflict learning inside each subtree, with gate-verified "
-        "nogoods broadcast to later assignments (trades the byte-"
-        "identical-stats guarantee for cross-subtree pruning)",
     )
 
     serve = sub.add_parser(
@@ -1178,7 +1068,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # One Telemetry instance spans the whole invocation (all probes of a
-    # sweep, all portfolio entrants); handlers read it via _telemetry(args).
+    # sweep, all portfolio entrants); handlers read it via args.telemetry.
     args.telemetry = (
         Telemetry()
         if (getattr(args, "trace", None) or getattr(args, "metrics", False))

@@ -92,7 +92,6 @@ def minimize_chip(
     *,
     options: Optional[SolverOptions] = None,
     cache: Optional[object] = None,
-    opp_solver: Optional[object] = None,
     deadline: Optional[Deadline] = None,
     telemetry: Optional[object] = None,
 ) -> ChipOptimizationOutcome:
@@ -107,7 +106,6 @@ def minimize_chip(
         time_bound=time_bound,
         options=options,
         cache=cache,
-        opp_solver=opp_solver,
         deadline=deadline,
         telemetry=telemetry,
     )
@@ -120,7 +118,6 @@ def minimize_latency(
     *,
     options: Optional[SolverOptions] = None,
     cache: Optional[object] = None,
-    opp_solver: Optional[object] = None,
     deadline: Optional[Deadline] = None,
     telemetry: Optional[object] = None,
 ) -> ChipOptimizationOutcome:
@@ -131,7 +128,6 @@ def minimize_latency(
         chip=(chip.width, chip.height),
         options=options,
         cache=cache,
-        opp_solver=opp_solver,
         deadline=deadline,
         telemetry=telemetry,
     )
@@ -195,7 +191,6 @@ def explore_tradeoffs(
     max_time: Optional[int] = None,
     options: Optional[SolverOptions] = None,
     cache: Optional[object] = None,
-    opp_solver: Optional[object] = None,
     deadline: Optional[Deadline] = None,
     telemetry: Optional[object] = None,
 ) -> ParetoFront:
@@ -210,7 +205,6 @@ def explore_tradeoffs(
         max_time=max_time,
         options=options,
         cache=cache,
-        opp_solver=opp_solver,
         deadline=deadline,
         telemetry=telemetry,
     )

@@ -29,7 +29,6 @@ from .portfolio import (
     PortfolioSolver,
     RetryPolicy,
     default_portfolio,
-    solve_opp_portfolio,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "PortfolioSolver",
     "RetryPolicy",
     "default_portfolio",
-    "solve_opp_portfolio",
 ]

@@ -824,31 +824,3 @@ class PortfolioSolver:
                 deadline = grace if deadline is None else min(deadline, grace)
         return harvest
 
-
-def solve_opp_portfolio(
-    instance: PackingInstance,
-    *,
-    configs: Optional[List[PortfolioConfig]] = None,
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    backend: str = "auto",
-    time_limit: Optional[float] = None,
-    deadline: Optional[Deadline] = None,
-    retry: Optional[RetryPolicy] = None,
-    resume_from: Optional[SearchCheckpoint] = None,
-    should_stop: Optional[Callable[[], bool]] = None,
-    telemetry: Optional[object] = None,
-) -> PortfolioResult:
-    """One-shot convenience wrapper around :class:`PortfolioSolver`.
-    Everything past the instance is keyword-only."""
-    with PortfolioSolver(
-        configs=configs, workers=workers, cache=cache, backend=backend,
-        retry=retry, telemetry=telemetry,
-    ) as solver:
-        return solver.solve(
-            instance,
-            time_limit=time_limit,
-            deadline=deadline,
-            resume_from=resume_from,
-            should_stop=should_stop,
-        )

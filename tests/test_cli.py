@@ -81,13 +81,21 @@ class TestParser:
 
     def test_optimizers_accept_workers_and_cache(self):
         parser = build_parser()
-        for cmd in ("bmp", "spp", "area", "pareto"):
-            extra = ["--width", "8"] if cmd == "spp" else ["--time", "8"]
+        extras = {
+            "bmp": ["--time", "8"],
+            "spp": ["--width", "8"],
+            "area": ["--time", "8"],
+            "pareto": [],
+            "svg": ["--width", "8", "--time", "8"],
+        }
+        for cmd, extra in extras.items():
             args = parser.parse_args(
-                [cmd, "@de", *extra, "--workers", "2", "--cache", "/tmp/c"]
+                [cmd, "@de", *extra, "--workers", "2", "--cache", "/tmp/c",
+                 "--deadline", "30"]
             )
-            assert args.workers == 2
-            assert args.cache == "/tmp/c"
+            assert args.workers == 2, cmd
+            assert args.cache == "/tmp/c", cmd
+            assert args.deadline == 30.0, cmd
 
 
 class TestExitCodes:
@@ -203,6 +211,71 @@ class TestCommands:
         ) == 0
         assert (tmp_path / "sched_gantt.svg").exists()
         assert (tmp_path / "sched_floorplan.svg").exists()
+
+    def test_svg_honours_cache(self, tmp_path, capsys):
+        store = tmp_path / "cache"
+        prefix = str(tmp_path / "sched")
+        assert main([
+            "svg", "@de", "--width", "32", "--time", "6",
+            "--cache", str(store), "--output", prefix,
+        ]) == EXIT_OK
+        assert list(store.glob("*.json")), "no verdict written to --cache"
+
+    def test_portfolio_honours_learning(self, tmp_path, capsys):
+        path = _write_instance(tmp_path, SEARCH_INSTANCE)
+        assert main(
+            ["solve", path, "--workers", "2", "--learning", "--metrics"]
+        ) == EXIT_OK
+        out = capsys.readouterr().out
+        learned = re.search(r"conflict learning:\s+(\d+) nogoods learned", out)
+        assert learned is not None, out
+        assert int(learned.group(1)) > 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{inst}", "--cache", "{file}"],
+            ["bmp", "@fir2", "--time", "3", "--cache", "{file}"],
+            ["batch", "{inst}", "--out", "{dir}", "--cache", "{file}"],
+            ["serve", "--dir", "{dir}", "--cache", "{file}"],
+            ["spp", "@de", "--width", "0"],
+            ["dsolve", "{inst}", "--workers", "0"],
+            [
+                "dsolve", "{inst}",
+                "--lease-duration", "0.1", "--heartbeat-interval", "1",
+            ],
+            [
+                "batch", "{inst}", "--out", "{dir}",
+                "--checkpoint-interval", "-1",
+            ],
+        ],
+        ids=[
+            "solve-cache-file", "bmp-cache-file", "batch-cache-file",
+            "serve-cache-file", "spp-zero-width", "dsolve-zero-workers",
+            "dsolve-heartbeat-above-lease", "batch-negative-checkpoint",
+        ],
+    )
+    def test_bad_option_value_exits_4(self, tmp_path, capsys, argv):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        fill = {
+            "{inst}": _write_instance(tmp_path, SAT_INSTANCE),
+            "{file}": str(taken),
+            "{dir}": str(tmp_path / "out"),
+        }
+        assert main([fill.get(arg, arg) for arg in argv]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_value_error_inside_a_solve_stays_a_bug(self, monkeypatch):
+        import repro.cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("solver bug")
+
+        monkeypatch.setattr(repro.cli, "solve", broken)
+        with pytest.raises(ValueError, match="solver bug"):
+            main(["bmp", "@fir2", "--time", "3"])
 
     def test_graph_from_json_file(self, tmp_path, capsys):
         from repro.instances.dsp import fir_filter_task_graph

@@ -439,6 +439,60 @@ class TestPublicApiSnapshot:
         for name in kernels.__all__:
             assert hasattr(kernels, name), name
 
+    def test_parallel_all_snapshot(self):
+        from repro import parallel
+
+        assert parallel.__all__ == [
+            "CacheStats",
+            "ResultCache",
+            "cache_key",
+            "canonical_form",
+            "NO_FAULTS",
+            "FaultPlan",
+            "corrupt_cache_entry",
+            "plan_from_env",
+            "resolve_plan",
+            "PortfolioConfig",
+            "PortfolioResult",
+            "PortfolioSolver",
+            "RetryPolicy",
+            "default_portfolio",
+        ]
+        for name in parallel.__all__:
+            assert hasattr(parallel, name), name
+
+    def test_fpga_wrapper_keywords_snapshot(self):
+        import inspect
+
+        from repro import fpga
+
+        def keywords(function):
+            return [
+                name
+                for name, param in inspect.signature(function).parameters.items()
+                if param.kind is inspect.Parameter.KEYWORD_ONLY
+            ]
+
+        sweep = ["options", "cache", "deadline", "telemetry"]
+        assert {
+            name: keywords(getattr(fpga, name))
+            for name in (
+                "place",
+                "minimize_chip",
+                "minimize_latency",
+                "place_fixed_schedule",
+                "minimize_chip_fixed_schedule",
+                "explore_tradeoffs",
+            )
+        } == {
+            "place": ["options", "cache", "telemetry"],
+            "minimize_chip": sweep,
+            "minimize_latency": sweep,
+            "place_fixed_schedule": ["options", "telemetry"],
+            "minimize_chip_fixed_schedule": ["options", "telemetry"],
+            "explore_tradeoffs": ["with_dependencies", "max_time", *sweep],
+        }
+
 
 class TestNoThirdPartyRuntimeDependency:
     def test_import_and_solve_never_load_numpy(self):
