@@ -2,9 +2,8 @@
 
 Subcommands regenerate the paper's experiments and solve user instances:
 
-* ``table1`` — DE benchmark BMP sweep (Table 1);
-* ``table2`` — video-codec minimal latency (Table 2);
-* ``fig7``   — DE Pareto fronts with/without precedence (Figure 7);
+* ``report`` — the paper's evaluation (Table 1, Figure 7, Table 2) plus the
+  free-aspect extension, in one record;
 * ``solve``  — decide a JSON packing instance (see ``repro.io.serialize``);
 * ``demo``   — a small end-to-end placement with ASCII output;
 * ``bmp``    — minimal square chip for a task-graph JSON + deadline;
@@ -20,7 +19,8 @@ Subcommands regenerate the paper's experiments and solve user instances:
 
 ``solve``, ``bmp``, ``spp``, ``area``, ``pareto`` and ``svg`` answer
 through :func:`repro.solve` with one shared set of flags, and keep only
-their own printing.
+their own printing; ``report`` and ``demo`` ask their fixed questions
+through it too.
 
 Task-graph JSON files follow :func:`repro.io.serialize.task_graph_to_dict`;
 the built-in benchmarks are available as ``@de``, ``@codec``, ``@fir<N>``
@@ -32,12 +32,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from contextlib import contextmanager
 from typing import List, Optional
 
 from .api import solve
-from .core.bmp import minimize_area, minimize_base
 from .core.deadline import DEADLINE_LIMIT, Deadline
 from .core.kernels import (
     UnknownKernelError,
@@ -45,14 +43,7 @@ from .core.kernels import (
     resolve as resolve_kernel,
 )
 from .core.opp import SolverOptions
-from .fpga import (
-    Chip,
-    ReconfigurationSchedule,
-    explore_tradeoffs,
-    minimize_latency,
-    place,
-    square_chip,
-)
+from .fpga import Chip, ReconfigurationSchedule, square_chip
 from .instances.de import TABLE_1, de_task_graph
 from .instances.video_codec import TABLE_2, codec_task_graph
 from .io.report import format_table, pareto_report, table1_report
@@ -182,67 +173,6 @@ def _solve(args: argparse.Namespace, instance, problem: str, **keywords):
     )
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    graph = de_task_graph()
-    results = []
-    for time_bound in sorted(TABLE_1):
-        result = minimize_base(
-            graph.boxes(),
-            graph.dependency_dag(),
-            time_bound=time_bound,
-            telemetry=args.telemetry,
-        )
-        results.append((time_bound, result))
-    print("Table 1 — DE benchmark, minimal square chip per deadline (MinA&FindS)")
-    print(table1_report(results, TABLE_1))
-    return 0
-
-
-def _cmd_table2(args: argparse.Namespace) -> int:
-    graph = codec_task_graph()
-    start = time.monotonic()
-    outcome = minimize_latency(graph, square_chip(64), telemetry=args.telemetry)
-    elapsed = time.monotonic() - start
-    smaller = place(
-        graph,
-        square_chip(63),
-        TABLE_2["latency"] * 4,
-        telemetry=args.telemetry,
-    )
-    print("Table 2 — video codec (H.261), minimal latency on the smallest chip")
-    print(
-        format_table(
-            ["chip", "h_t (ours)", "CPU (ours)", "h_t (paper)", "CPU (paper)"],
-            [
-                [
-                    "64x64",
-                    outcome.optimum,
-                    f"{elapsed:.3f}s",
-                    TABLE_2["latency"],
-                    f"{TABLE_2['paper_cpu_seconds']}s",
-                ]
-            ],
-        )
-    )
-    print(f"chips below 64x64: {smaller.status} ({smaller.certificate})")
-    return 0
-
-
-def _cmd_fig7(args: argparse.Namespace) -> int:
-    graph = de_task_graph()
-    with_prec = explore_tradeoffs(
-        graph, with_dependencies=True, telemetry=args.telemetry
-    )
-    without_prec = explore_tradeoffs(
-        graph, with_dependencies=False, telemetry=args.telemetry
-    )
-    print("Figure 7 — DE benchmark, area/latency trade-off")
-    print(pareto_report(with_prec, "with precedence constraints, solid"))
-    print()
-    print(pareto_report(without_prec, "without precedence constraints, dashed"))
-    return 0
-
-
 def _load_input(path: str, parse, what: str):
     """Read + parse a user-supplied JSON file, folding every way it can be
     bad — missing file, unreadable bytes, invalid JSON, wrong shape — into
@@ -370,41 +300,73 @@ def _cmd_dsolve(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     """Run the complete reproduction and print one consolidated record."""
+    telemetry = args.telemetry
+    de = de_task_graph()
     print("=" * 72)
     print("Reproduction report — Fekete/Köhler/Teich, DATE 2001")
     print("=" * 72)
     print()
-    _cmd_table1(args)
+    print("Table 1 — DE benchmark, minimal square chip per deadline (MinA&FindS)")
+    results = [
+        (time_bound, solve(de, "bmp", time_bound=time_bound, telemetry=telemetry))
+        for time_bound in sorted(TABLE_1)
+    ]
+    print(table1_report(results, TABLE_1))
     print()
-    _cmd_fig7(args)
+    print("Figure 7 — DE benchmark, area/latency trade-off")
+    with_prec = solve(de, "pareto", telemetry=telemetry)
+    print(pareto_report(with_prec, "with precedence constraints, solid"))
     print()
-    _cmd_table2(args)
+    without_prec = solve(
+        de, "pareto", with_dependencies=False, telemetry=telemetry
+    )
+    print(pareto_report(without_prec, "without precedence constraints, dashed"))
+    print()
+    codec = codec_task_graph()
+    latency = solve(codec, "spp", chip=(64, 64), telemetry=telemetry)
+    smaller = solve(
+        codec,
+        "opp",
+        chip=(63, 63),
+        time_bound=TABLE_2["latency"] * 4,
+        telemetry=telemetry,
+    )
+    print("Table 2 — video codec (H.261), minimal latency on the smallest chip")
+    print(
+        format_table(
+            ["chip", "h_t (ours)", "CPU (ours)", "h_t (paper)", "CPU (paper)"],
+            [
+                [
+                    "64x64",
+                    latency.optimum,
+                    f"{latency.total_seconds:.3f}s",
+                    TABLE_2["latency"],
+                    f"{TABLE_2['paper_cpu_seconds']}s",
+                ]
+            ],
+        )
+    )
+    print(f"chips below 64x64: {smaller.status} ({smaller.certificate})")
     print()
     print("Extensions (beyond the paper)")
     print("-" * 29)
-    graph = de_task_graph()
-    start = time.monotonic()
-    area = minimize_area(
-        graph.boxes(),
-        graph.dependency_dag(),
-        time_bound=6,
-        telemetry=args.telemetry,
-    )
+    area = solve(de, "area", time_bound=6, telemetry=telemetry)
     print(
         f"free-aspect DE chip at h_t=6: {area.width}x{area.height} "
         f"({area.area} cells vs 1024 for the square optimum; "
-        f"{time.monotonic() - start:.2f}s)"
+        f"{area.total_seconds:.2f}s)"
     )
     return 0
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     graph = de_task_graph()
-    outcome = place(graph, square_chip(32), 6, telemetry=args.telemetry)
-    if not outcome.is_feasible or outcome.schedule is None:
+    chip = square_chip(32)
+    result = solve(graph, "opp", chip=chip, time_bound=6, telemetry=args.telemetry)
+    if result.status != "sat" or result.placement is None:
         print("demo placement unexpectedly failed", file=sys.stderr)
         return 1
-    schedule = outcome.schedule
+    schedule = ReconfigurationSchedule.from_placement(graph, chip, result.placement)
     print(schedule)
     print()
     print(schedule.table())
@@ -781,15 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "table1", help="reproduce Table 1 (DE benchmark BMP)", parents=[observe]
-    )
-    sub.add_parser(
-        "table2", help="reproduce Table 2 (video codec)", parents=[observe]
-    )
-    sub.add_parser(
-        "fig7", help="reproduce Figure 7 (Pareto fronts)", parents=[observe]
-    )
     solve_cmd = sub.add_parser(
         "solve", help="decide a JSON packing instance",
         parents=[observe, search, facade],
@@ -799,7 +752,9 @@ def build_parser() -> argparse.ArgumentParser:
         "demo", help="small end-to-end placement demo", parents=[observe]
     )
     sub.add_parser(
-        "report", help="run the complete reproduction record", parents=[observe]
+        "report",
+        help="reproduce the paper's Table 1, Figure 7 and Table 2 in one record",
+        parents=[observe],
     )
 
     def graph_command(name: str, help_text: str):
@@ -1075,9 +1030,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         else None
     )
     handlers = {
-        "table1": _cmd_table1,
-        "table2": _cmd_table2,
-        "fig7": _cmd_fig7,
         "solve": _cmd_solve,
         "demo": _cmd_demo,
         "report": _cmd_report,

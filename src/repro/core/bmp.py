@@ -376,12 +376,13 @@ def _minimize_area(
         if best is not None and width * lowest_height >= best[0]:
             continue
         lo, hi = lowest_height, None
-        # Find a feasible height by doubling.
+        # Find a feasible height by doubling, up to the tallest chip that
+        # still beats the incumbent (a step past it must not skip that range).
         h = max(lowest_height, min_height)
         cap = sum(b.widths[1] for b in boxes)
+        if best is not None:
+            cap = min(cap, (best[0] - 1) // width)
         while h <= cap:
-            if best is not None and width * h >= best[0]:
-                break
             opp = probe(width, h)
             if opp.status == "sat":
                 hi = h

@@ -14,15 +14,6 @@ third-party engines resolve through one surface:
 * :func:`make_model` — instantiate a kernel for one instance (the seam
   used by :class:`~repro.core.search.BranchAndBound`).
 
-Third-party kernels can also ship an entry point in the
-``repro.kernels`` group::
-
-    [project.entry-points."repro.kernels"]
-    mykernel = "mypkg.engine:make_engine"
-
-Entry points are loaded lazily on the first registry query; a broken
-entry point is skipped rather than breaking every solve.
-
 The engine protocol
 -------------------
 
@@ -78,9 +69,6 @@ KernelFactory = Callable[
     [PackingInstance, Optional[PropagationOptions]], "EngineProtocol"
 ]
 
-#: The entry-point group third-party packages use to auto-register.
-ENTRY_POINT_GROUP = "repro.kernels"
-
 
 class UnknownKernelError(ValueError):
     """A kernel name that is neither registered nor an alias."""
@@ -93,7 +81,6 @@ class UnknownKernelError(ValueError):
 
 
 _registry: Dict[str, KernelFactory] = {}
-_entry_points_loaded = False
 
 #: Retired kernel names and the registered kernel each now runs on, so
 #: journals, wire requests and scripts that name them keep working.
@@ -114,36 +101,8 @@ def register(
     _registry[name] = factory
 
 
-def _load_entry_points() -> None:
-    """Best-effort discovery of third-party kernels (once per process)."""
-    global _entry_points_loaded
-    if _entry_points_loaded:
-        return
-    _entry_points_loaded = True
-    try:
-        from importlib.metadata import entry_points
-    except ImportError:  # pragma: no cover - importlib.metadata is 3.8+
-        return
-    try:
-        try:  # Python >= 3.10: selectable entry points
-            eps = entry_points(group=ENTRY_POINT_GROUP)
-        except TypeError:  # pragma: no cover - 3.9 fallback
-            eps = entry_points().get(ENTRY_POINT_GROUP, [])
-    except Exception:  # pragma: no cover - corrupt metadata
-        return
-    for ep in eps:
-        if ep.name in _registry:
-            continue
-        try:
-            register(ep.name, ep.load())
-        except Exception:
-            # A broken third-party kernel must not break every solve.
-            continue
-
-
 def available() -> Tuple[str, ...]:
     """Registered kernel names, in registration order (aliases excluded)."""
-    _load_entry_points()
     return tuple(_registry)
 
 
@@ -154,9 +113,6 @@ def resolve(name: str) -> str:
     Raises :class:`UnknownKernelError` (a :class:`ValueError`) for
     anything else, listing the names that would work.
     """
-    if name in _registry:
-        return name  # discovery never replaces a registered name
-    _load_entry_points()
     if name in _registry:
         return name
     target = _ALIASES.get(name)

@@ -15,8 +15,7 @@ to "unenforced" where neither exists — the trip reason then says so).  The
 probe is throttled to one read per poll interval, so the 64-node poll
 cadence stays cheap.  The interval defaults to :data:`PROBE_INTERVAL`
 (0.05 s — a /proc read every 50 ms is invisible next to search work) and
-is configurable per watchdog (``Watchdog(..., poll_interval=...)``) or
-globally via the ``REPRO_WATCHDOG_POLL`` environment variable: a fast
+is configurable per watchdog (``Watchdog(..., poll_interval=...)``): a fast
 allocation spike can blow through a memory limit and get the process
 OOM-killed between two 50 ms probes, and a tightened interval is the knob
 that catches it.
@@ -32,33 +31,13 @@ from typing import Callable, Optional
 from ..core.deadline import Deadline
 
 #: Default seconds between memory probes (wall-clock checks are not
-#: throttled); override per watchdog with ``poll_interval=`` or globally
-#: with the ``REPRO_WATCHDOG_POLL`` environment variable.
+#: throttled); override per watchdog with ``poll_interval=``.
 PROBE_INTERVAL = 0.05
-
-#: Environment override of the default memory-probe interval (seconds).
-POLL_ENV_VAR = "REPRO_WATCHDOG_POLL"
 
 TIME_TRIPPED = "wall-clock limit exceeded"
 MEMORY_TRIPPED = "memory limit exceeded"
 DEADLINE_TRIPPED = "end-to-end deadline exhausted"
 
-
-def default_poll_interval() -> float:
-    """The probe interval to use when none is given explicitly.
-
-    Reads ``REPRO_WATCHDOG_POLL``; a malformed or non-positive value is
-    ignored (a tuning knob must never be able to disarm the watchdog).
-    """
-    text = os.environ.get(POLL_ENV_VAR)
-    if text:
-        try:
-            value = float(text)
-        except ValueError:
-            return PROBE_INTERVAL
-        if value > 0:
-            return value
-    return PROBE_INTERVAL
 
 _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 
@@ -109,10 +88,9 @@ class Watchdog:
     ``tripped`` holds ``"timed-out"`` / ``"memory-limited"`` (the journal's
     terminal kinds) once a limit fires; ``detail`` the human reason.
 
-    ``poll_interval`` is the memory-probe throttle in seconds; the default
-    (``None``) resolves :data:`PROBE_INTERVAL` through the
-    ``REPRO_WATCHDOG_POLL`` environment override.  Tighten it for
-    workloads whose allocation spikes outrun the 50 ms default.
+    ``poll_interval`` is the memory-probe throttle in seconds (default
+    :data:`PROBE_INTERVAL`).  Tighten it for workloads whose allocation
+    spikes outrun the 50 ms default.
     """
 
     def __init__(
@@ -120,10 +98,10 @@ class Watchdog:
         limits: WatchdogLimits,
         clock: Callable[[], float] = time.monotonic,
         memory_probe: Callable[[], Optional[int]] = current_rss_bytes,
-        poll_interval: Optional[float] = None,
+        poll_interval: float = PROBE_INTERVAL,
         deadline: Optional[Deadline] = None,
     ) -> None:
-        if poll_interval is not None and poll_interval <= 0:
+        if poll_interval <= 0:
             raise ValueError(
                 f"poll_interval must be positive, got {poll_interval}"
             )
@@ -135,9 +113,7 @@ class Watchdog:
         self.deadline = deadline
         self._clock = clock
         self._memory_probe = memory_probe
-        self.poll_interval = (
-            poll_interval if poll_interval is not None else default_poll_interval()
-        )
+        self.poll_interval = poll_interval
         self.started = clock()
         self.tripped: Optional[str] = None
         self.detail: str = ""

@@ -165,7 +165,7 @@ class TestWatchdog:
 
 
 class TestWatchdogPollInterval:
-    """The memory-probe throttle (``poll_interval`` / REPRO_WATCHDOG_POLL).
+    """The memory-probe throttle (``poll_interval``).
 
     The regression scenario: an allocation spike that rises and falls
     entirely *between* two probes at the default 50 ms cadence is invisible
@@ -211,32 +211,6 @@ class TestWatchdogPollInterval:
     def test_tight_interval_catches_the_same_spike(self):
         dog, clock = self._spiking_watchdog(poll_interval=0.01)
         assert self._drive(dog, clock) == "memory-limited"
-
-    def test_env_override_tightens_the_default(self, monkeypatch):
-        from repro.runtime.watchdog import POLL_ENV_VAR
-
-        monkeypatch.setenv(POLL_ENV_VAR, "0.01")
-        dog, clock = self._spiking_watchdog()
-        assert dog.poll_interval == 0.01
-        assert self._drive(dog, clock) == "memory-limited"
-
-    def test_malformed_env_override_is_ignored(self, monkeypatch):
-        from repro.runtime.watchdog import (
-            POLL_ENV_VAR,
-            PROBE_INTERVAL,
-            default_poll_interval,
-        )
-
-        for bad in ("banana", "-1", "0", ""):
-            monkeypatch.setenv(POLL_ENV_VAR, bad)
-            assert default_poll_interval() == PROBE_INTERVAL
-
-    def test_explicit_interval_beats_the_env(self, monkeypatch):
-        from repro.runtime.watchdog import POLL_ENV_VAR
-
-        monkeypatch.setenv(POLL_ENV_VAR, "0.5")
-        dog, _ = self._spiking_watchdog(poll_interval=0.01)
-        assert dog.poll_interval == 0.01
 
     def test_non_positive_interval_rejected(self):
         with pytest.raises(ValueError, match="poll_interval"):

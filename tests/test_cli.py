@@ -22,6 +22,19 @@ def _write_instance(tmp_path, instance):
     return str(path)
 
 
+PAPER_TABLE1 = [("6", "32x32"), ("13", "17x17"), ("14", "16x16")]
+
+
+def _report(capsys):
+    assert main(["report"]) == 0
+    return capsys.readouterr().out
+
+
+def _rows(section):
+    """(h_t, chip) pairs at the start of a report section's lines."""
+    return re.findall(r"^(\d+)\s+(\d+x\d+)", section, re.M)
+
+
 SAT_INSTANCE = {
     "boxes": [
         {"widths": [1, 1, 1], "name": "a"},
@@ -62,7 +75,7 @@ class TestParser:
 
     def test_known_commands(self):
         parser = build_parser()
-        for cmd in ("table1", "table2", "fig7", "demo"):
+        for cmd in ("report", "demo"):
             assert parser.parse_args([cmd]).command == cmd
 
     def test_solve_arguments(self):
@@ -132,21 +145,6 @@ class TestExitCodes:
 
 
 class TestCommands:
-    def test_table1(self, capsys):
-        assert main(["table1"]) == 0
-        out = capsys.readouterr().out
-        assert "32x32" in out and "17x17" in out and "16x16" in out
-
-    def test_table2(self, capsys):
-        assert main(["table2"]) == 0
-        out = capsys.readouterr().out
-        assert "59" in out and "64x64" in out
-
-    def test_fig7(self, capsys):
-        assert main(["fig7"]) == 0
-        out = capsys.readouterr().out
-        assert "with precedence" in out and "without precedence" in out
-
     def test_demo(self, capsys):
         assert main(["demo"]) == 0
         out = capsys.readouterr().out
@@ -322,11 +320,26 @@ class TestCommands:
         assert "minimal square chip" in capsys.readouterr().out
 
     def test_report(self, capsys):
-        assert main(["report"]) == 0
-        out = capsys.readouterr().out
+        out = _report(capsys)
         assert "Reproduction report" in out
-        assert "32x32" in out and "64x64" in out
-        assert "free-aspect" in out
+        assert "free-aspect DE chip at h_t=6: 16x48" in out
+
+    def test_table1(self, capsys):
+        table1 = _report(capsys).split("Table 1")[1].split("Figure 7")[0]
+        assert _rows(table1) == PAPER_TABLE1
+
+    def test_fig7(self, capsys):
+        fig7 = _report(capsys).split("Figure 7")[1].split("Table 2")[0]
+        solid, dashed = fig7.split("without precedence")
+        assert "with precedence" in solid and _rows(solid) == PAPER_TABLE1
+        assert _rows(dashed) == [
+            ("2", "48x48"), ("4", "32x32"), ("12", "17x17"), ("13", "16x16")
+        ]
+
+    def test_table2(self, capsys):
+        table2 = _report(capsys).split("Table 2")[1].split("Extensions")[0]
+        assert re.search(r"^64x64\s+59\s", table2, re.M)
+        assert "chips below 64x64: unsat (" in table2
 
     def test_solve_unsat(self, tmp_path, capsys):
         path = _write_instance(tmp_path, UNSAT_INSTANCE)
@@ -340,7 +353,7 @@ class TestTelemetryFlags:
     def test_every_subcommand_has_the_flags(self):
         parser = build_parser()
         cases = {
-            "table1": [], "table2": [], "fig7": [], "demo": [], "report": [],
+            "demo": [], "report": [],
             "solve": ["inst.json"],
             "bmp": ["@de", "--time", "8"],
             "spp": ["@de", "--width", "8"],

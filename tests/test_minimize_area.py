@@ -52,6 +52,14 @@ class TestMinimizeArea:
         assert square.status == free.status == "optimal"
         assert free.area <= square.optimum * square.optimum
 
+    def test_height_doubling_does_not_skip_past_the_incumbent(self):
+        # After 3x6 is found, width 4 probes height 3 (unsat); doubling
+        # to 6 would exceed area 18, yet 4x4 = 16 fits.
+        boxes = boxes_of([(3, 3, 1), (2, 1, 2), (1, 3, 2)])
+        r = minimize_area(boxes, time_bound=2)
+        assert (r.status, r.area, r.width, r.height) == ("optimal", 16, 4, 4)
+        assert r.placement.is_feasible()
+
     def test_de_benchmark_free_aspect_beats_square(self):
         """Beyond the paper: at the 6-cycle deadline a 16x48 chip (768
         cells) suffices, 25% smaller than the square optimum 32x32."""
