@@ -20,8 +20,9 @@ random instances under every registered search kernel (``bitmask``,
 
 The measured record is written as JSON (default ``BENCH_PR8.json``): one
 entry per instance with per-kernel wall time, node count, and nodes/sec,
-one entry per learning case with on/off node counts, plus the aggregate
-geometric means.  The committed copy at the repo root is the performance
+one entry per learning case with on/off node counts and the on/off
+wall-time ratio (reported, not gated), plus the aggregate geometric
+means.  The committed copy at the repo root is the performance
 baseline for this PR; re-run this script after touching a kernel, the
 propagation rules, or the learning layer and commit the refreshed numbers
 together with the change.
@@ -194,6 +195,10 @@ def _learning_case(name, instance, repeats):
             f"off={off['status']} on={on['status']}"
         )
     record["node_reduction"] = round(off["nodes"] / max(1, on["nodes"]), 3)
+    if off["seconds"] > 0:
+        # Learning-on over learning-off wall time: above 1.0 learning costs
+        # more time than it saves.  Reported only.
+        record["wall_time_ratio"] = round(on["seconds"] / off["seconds"], 3)
     return record, errors
 
 
@@ -285,6 +290,10 @@ def run(smoke=False, min_speedup=2.5, min_node_reduction=1.25,
     geomean_reduction = _geomean(
         [r["node_reduction"] for r in learning_records]
     )
+    geomean_wall_ratio = _geomean(
+        [r["wall_time_ratio"] for r in learning_records
+         if r.get("wall_time_ratio")]
+    )
     if (
         geomean_reduction is not None
         and geomean_reduction < min_node_reduction
@@ -302,6 +311,7 @@ def run(smoke=False, min_speedup=2.5, min_node_reduction=1.25,
         "geomean_speedup": geomean,
         "min_node_reduction_gate": min_node_reduction,
         "geomean_node_reduction": geomean_reduction,
+        "geomean_learning_wall_time_ratio": geomean_wall_ratio,
         "cases": records,
         "learning_cases": learning_records,
         "regressions": errors,
@@ -322,11 +332,16 @@ def run(smoke=False, min_speedup=2.5, min_node_reduction=1.25,
         print(
             f"  {record['name']:<38}"
             f" node reduction {record['node_reduction']:>6.2f}x"
+            f"  wall time on/off {record.get('wall_time_ratio')}"
         )
     print(f"geometric-mean speedup: {geomean}x  (gate: >= {min_speedup}x)")
     print(
         f"geometric-mean learning node reduction: {geomean_reduction}x"
         f"  (gate: >= {min_node_reduction}x)"
+    )
+    print(
+        f"geometric-mean learning wall-time ratio (on/off): "
+        f"{geomean_wall_ratio}  (reported only)"
     )
     print(f"wrote {output}")
     if errors:

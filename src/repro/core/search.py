@@ -34,6 +34,7 @@ from .kernels import make_model, resolve as resolve_kernel
 from .edgestate import (
     COMPARABILITY,
     COMPONENT,
+    UNDECIDED,
     Conflict,
     EdgeStateModel,
     PropagationOptions,
@@ -46,6 +47,13 @@ from .nogoods import (
     opposite_state,
 )
 from .placement import extract_placement, extract_placement_masks
+
+
+#: A branching cursor: ``(time, spatial, overlap)`` indices into the branch
+#: orders (see :meth:`BranchAndBound._pick_branch`).  The zero cursor is
+#: valid at every node.
+Cursor = Tuple[int, int, int]
+ZERO_CURSOR: Cursor = (0, 0, 0)
 
 
 class LimitReached(Exception):
@@ -555,16 +563,22 @@ class BranchAndBound:
         self._branch_rank = {
             triple: rank for rank, triple in enumerate(self._branch_order)
         }
-        self._time_order = [
-            (axis, u, v)
-            for axis, u, v in self._branch_order
-            if axis == instance.time_axis
-        ]
-        self._spatial_order = [
-            (axis, u, v)
-            for axis, u, v in self._branch_order
-            if axis != instance.time_axis
-        ]
+        # The picker decides ``_time_order`` first, then ``_spatial_order``.
+        # The static strategy is the same loop over one list.
+        if self.branching.strategy == "static":
+            self._time_order = self._branch_order
+            self._spatial_order: List[Tuple[int, int, int]] = []
+        else:
+            self._time_order = [
+                (axis, u, v)
+                for axis, u, v in self._branch_order
+                if axis == instance.time_axis
+            ]
+            self._spatial_order = [
+                (axis, u, v)
+                for axis, u, v in self._branch_order
+                if axis != instance.time_axis
+            ]
         if self.branching.value_order == "comparability_first":
             self._values = (COMPARABILITY, COMPONENT)
         elif self.branching.value_order == "component_first":
@@ -661,7 +675,7 @@ class BranchAndBound:
         runs unbounded so the search stays complete.
         """
         if not (self.learning.enabled and self.learning.restarts):
-            return self._dfs(replay)
+            return self._dfs(replay, ZERO_CURSOR)
         root_mark = self.model.mark()
         while True:
             if self._restart_round >= self.learning.max_restarts:
@@ -672,7 +686,7 @@ class BranchAndBound:
                 )
             self._round_conflicts = 0
             try:
-                return self._dfs(replay)
+                return self._dfs(replay, ZERO_CURSOR)
             except _Restart:
                 self.stats.restarts += 1
                 self._restart_round += 1
@@ -702,8 +716,9 @@ class BranchAndBound:
         re-based afterwards so prefix propagation — already counted by the
         splitter — is excluded from this run's share of the accounting.
         """
+        cursor = ZERO_CURSOR
         for axis, u, v, value in self._subtree:
-            choice = self._pick_branch()
+            choice, cursor = self._pick_branch(cursor)
             if choice != (axis, u, v):
                 raise CheckpointMismatch(
                     f"subtree prefix expects branch {(axis, u, v)} but the "
@@ -813,7 +828,7 @@ class BranchAndBound:
         mark = self.model.mark()
         try:
             self._replay_decisions(prefix)
-            choice = self._pick_branch()
+            choice, _ = self._pick_branch(ZERO_CURSOR)
             if choice is None:
                 return None
             self.stats.nodes += 1
@@ -901,7 +916,9 @@ class BranchAndBound:
         return status, placement
 
     def _dfs(
-        self, replay: Optional[List[Tuple[int, int, int, int]]] = None
+        self,
+        replay: Optional[List[Tuple[int, int, int, int]]],
+        cursor: Cursor,
     ) -> Optional[Placement]:
         self.stats.nodes += 1
         self.model.stats.nodes_entered += 1
@@ -937,7 +954,7 @@ class BranchAndBound:
             self.stats.nogood_prunes += 1
             self._note_round_conflict()
             return None
-        choice = self._pick_branch()
+        choice, cursor = self._pick_branch(cursor)
         if choice is None:
             return self._verify_leaf()
         axis, u, v = choice
@@ -977,7 +994,7 @@ class BranchAndBound:
             # The path is only unwound on a normal return: when a limit or
             # fault aborts the recursion, the stack as-is IS the checkpoint.
             self._path.append((axis, u, v, value))
-            placement = self._dfs(child_replay)
+            placement = self._dfs(child_replay, cursor)
             self._path.pop()
             if placement is not None:
                 return placement
@@ -998,8 +1015,6 @@ class BranchAndBound:
         word-parallel through :meth:`_apply_nogoods_packed` — identical
         outcomes, bump order, and forcing order.
         """
-        from .edgestate import UNDECIDED
-
         if getattr(self.model, "packed_pair_state", None) is not None:
             return self._apply_nogoods_packed()
 
@@ -1127,9 +1142,26 @@ class BranchAndBound:
                 return (COMPONENT, COMPARABILITY)
         return self._values
 
-    def _pick_branch(self) -> Optional[Tuple[int, int, int]]:
-        from .edgestate import UNDECIDED
+    def _pick_branch(
+        self, cursor: Cursor
+    ) -> Tuple[Optional[Tuple[int, int, int]], Cursor]:
+        """The next ``(axis, u, v)`` to branch on (``None`` at a leaf) and
+        the cursor to hand to this node's children.
 
+        The rule is "first undecided entry in a fixed order".  Along one
+        DFS path decided pairs stay decided, so that first entry only moves
+        forward: the cursor records how far the parent's scan got, and the
+        child resumes there instead of at index 0.  The picked triple — and
+        with it the tree — is the full scan's.  ``cursor`` holds three
+        indices, each with every entry before it decided:
+
+        * ``time`` into ``_time_order``;
+        * ``spatial`` into ``_spatial_order`` (the fallback);
+        * ``overlap`` into ``_spatial_order``, which may also skip undecided
+          entries whose time state is not COMPONENT.  It only advances once
+          every time pair is decided, and time states cannot change below
+          that node.
+        """
         state = self.model.state
         if self._pair_activity:
             # Conflict-guided branching: decide the (pair, axis) most often
@@ -1147,30 +1179,42 @@ class BranchAndBound:
                 if best_key is None or key < best_key:
                     best_key, best = key, triple
             if best is not None:
-                return best
-        if self.branching.strategy == "static":
-            for axis, u, v in self._branch_order:
-                if state[axis][u][v] == UNDECIDED:
-                    return (axis, u, v)
-            return None
+                return best, cursor
+        t, s, c = cursor
         # Guided: all time-axis pairs first (they drive the implications and
-        # determine which spatial relations matter at all)...
-        time_axis = self.instance.time_axis
-        for axis, u, v in self._time_order:
+        # determine which spatial relations matter at all)...  Static: the
+        # whole branch order is ``_time_order``, and nothing follows.
+        order = self._time_order
+        end = len(order)
+        while t < end:
+            axis, u, v = triple = order[t]
             if state[axis][u][v] == UNDECIDED:
-                return (axis, u, v)
+                return triple, (t, s, c)
+            t += 1
+        order = self._spatial_order
+        end = len(order)
+        while s < end:
+            axis, u, v = order[s]
+            if state[axis][u][v] == UNDECIDED:
+                break
+            s += 1
+        else:
+            return None, (t, s, c)
         # ... then spatial pairs of boxes that overlap in time (the
         # geometrically constrained ones) ...
-        fallback: Optional[Tuple[int, int, int]] = None
-        time_state = state[time_axis]
-        for axis, u, v in self._spatial_order:
-            if state[axis][u][v] == UNDECIDED:
-                if time_state[u][v] == COMPONENT:
-                    return (axis, u, v)
-                if fallback is None:
-                    fallback = (axis, u, v)
+        time_state = state[self.instance.time_axis]
+        if c < s:
+            c = s
+        while c < end:
+            axis, u, v = triple = order[c]
+            if (
+                state[axis][u][v] == UNDECIDED
+                and time_state[u][v] == COMPONENT
+            ):
+                return triple, (t, s, c)
+            c += 1
         # ... and the spatially irrelevant remainder last.
-        return fallback
+        return order[s], (t, s, c)
 
     def _verify_leaf(self) -> Optional[Placement]:
         self.stats.leaves += 1

@@ -265,9 +265,6 @@ class ResultCache:
         if self._telemetry is not None:
             self._telemetry.counter(metric).add()
 
-    def key(self, instance: PackingInstance) -> str:
-        return cache_key(instance)
-
     # -- lookup ------------------------------------------------------------
 
     def key(self, instance: PackingInstance) -> str:
