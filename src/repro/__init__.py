@@ -66,7 +66,6 @@ from . import (
 from .api import PROBLEMS, solve
 from .certify import certify_batch_dir, certify_payload
 from .core.deadline import Deadline
-from .core.nogoods import LearningOptions
 from .core.opp import OPPResult, SolverOptions
 from .io.backoff import BackoffPolicy
 from .telemetry import Telemetry
@@ -111,7 +110,6 @@ __all__ = [
     "PROBLEMS",
     # the knobs a typical caller touches
     "SolverOptions",
-    "LearningOptions",
     "OPPResult",
     "ResultCache",
     "PortfolioSolver",

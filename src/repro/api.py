@@ -175,7 +175,6 @@ def solve(
     with_dependencies: bool = True,
     options: Optional[SolverOptions] = None,
     kernel: Optional[str] = None,
-    learning: Optional[Any] = None,
     workers: Optional[int] = None,
     backend: str = "auto",
     cache: Optional[Any] = None,
@@ -199,22 +198,15 @@ def solve(
     ``kernel`` names the propagation engine every OPP decision runs on —
     any name from :func:`repro.core.available_kernels` (``"bitmask"``,
     ``"reference"``, plus third-party registrations) or the alias
-    ``"vector"`` (runs ``"bitmask"``); ``learning`` switches conflict learning
-    (``True``/``False`` or a :class:`~repro.core.nogoods.LearningOptions`).
-    Both are shorthand that overrides the corresponding field of
-    ``options`` — with ``workers > 1`` the override applies to every
+    ``"vector"`` (runs ``"bitmask"``).  It is shorthand that overrides
+    ``options.kernel`` — with ``workers > 1`` the override applies to every
     portfolio entrant.
     """
     key = _canonical_problem(problem)
-    overrides = {}
     if kernel is not None:
-        overrides["kernel"] = kernel
-    if learning is not None:
-        overrides["learning"] = learning
-    if overrides:
         # dataclasses.replace re-runs __post_init__, so bad kernel names
         # raise UnknownKernelError here, before any solving starts.
-        options = _replace(options or SolverOptions(), **overrides)
+        options = _replace(options or SolverOptions(), kernel=kernel)
     telemetry = _coerce_telemetry(telemetry)
     if cache is not None and hasattr(cache, "instrument"):
         cache.instrument(telemetry)
@@ -231,9 +223,9 @@ def solve(
         )
 
         configs = None
-        if overrides:
+        if kernel is not None:
             configs = [
-                PortfolioConfig(c.name, _replace(c.options, **overrides))
+                PortfolioConfig(c.name, _replace(c.options, kernel=kernel))
                 for c in default_portfolio()
             ]
         portfolio = PortfolioSolver(

@@ -164,7 +164,6 @@ def _solve(args: argparse.Namespace, instance, problem: str, **keywords):
         problem,
         options=options,
         kernel=args.kernel,
-        learning=args.learning,
         workers=args.workers,
         cache=_make_cache(args),
         deadline=_deadline(args),
@@ -266,9 +265,7 @@ def _cmd_dsolve(args: argparse.Namespace) -> int:
                 solver=SolverOptions(
                     time_limit=args.time_limit,
                     kernel=args.kernel,
-                    learning=args.learning,
                 ),
-                share_nogoods=args.learning,
                 deadline=deadline,
             )
         result = solve_distributed(
@@ -533,9 +530,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     with _bad_option():
         runner = BatchRunner(
             args.out,
-            options=SolverOptions(
-                kernel=args.kernel, learning=args.learning, deadline=deadline
-            ),
+            options=SolverOptions(kernel=args.kernel, deadline=deadline),
             workers=args.workers,
             cache=_make_cache(args),
             time_limit=args.instance_time_limit,
@@ -712,11 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="bitmask",
         help="search kernel from the registry (default: bitmask; see "
         "docs/performance.md)",
-    )
-    search.add_argument(
-        "--learning", action=argparse.BooleanOptionalAction, default=False,
-        help="conflict learning in the search: nogood recording, Luby "
-        "restarts, conflict-guided branching (see docs/performance.md)",
     )
     # Flags of the commands that answer through repro.solve.
     facade = argparse.ArgumentParser(add_help=False)

@@ -56,7 +56,6 @@ from .fixed_schedule import (
     minimize_base_fixed_schedule,
     validate_schedule,
 )
-from .nogoods import LearningOptions, Nogood, NogoodStore
 from .opp import SAT, UNSAT, OPPResult, SolverOptions, solve_opp
 from .packing_class import ConditionReport, PackingClass
 from .pareto import ParetoFront, ParetoPoint, minimal_latency, pareto_filter, pareto_front
@@ -138,9 +137,6 @@ __all__ = [
     "feasible_placement_fixed_schedule",
     "minimize_base_fixed_schedule",
     "validate_schedule",
-    "LearningOptions",
-    "Nogood",
-    "NogoodStore",
     "SAT",
     "UNSAT",
     "OPPResult",

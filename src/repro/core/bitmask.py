@@ -42,13 +42,6 @@ paper's propagation rules then become mask algebra:
   the exact bitset clique search runs only when the cheap bound cannot
   exclude an overflow, and sums candidate weights one *byte* at a time
   through per-axis 256-entry lookup tables.
-* **Flat pair state for nogood matching** — every ``(axis, pair)`` maps
-  to one bit of a flat integer pair (component bits / comparability
-  bits), so the search matches learned nogoods with a handful of integer
-  operations each.  The flat state is maintained only once a consumer
-  asks for it (:meth:`BitmaskEdgeStateModel.packed_pair_state` rebinds
-  the ``_set_state`` / ``rollback`` hot paths to tracking variants), so
-  searches without learning pay nothing.
 
 The kernel is *semantically identical* to the reference: the rule set is
 monotone, every rule instance is re-examined whenever one of its premises
@@ -63,7 +56,7 @@ around as the testing oracle (``kernel="reference"``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..graphs.graph import Graph
 from .boxes import PackingInstance
@@ -132,14 +125,6 @@ class BitmaskEdgeStateModel(EdgeStateModel):
         # small solves that never leave the slack fast-path skip the cost.
         self._wlut: List[Optional[List[List[int]]]] = [None] * d
         self._clut: List[Optional[List[List[int]]]] = [None] * d
-        # Flat pair-state tracking is armed lazily by packed_pair_state():
-        # searches that never consult it (learning off) keep the untracked
-        # hot path.
-        self._track_pairs = False
-        self._flat_comp = 0
-        self._flat_cmpb = 0
-        self._pair_bit: Optional[List[List[List[int]]]] = None
-        self._pair_of_bit: Optional[Dict[int, Tuple[int, int, int]]] = None
 
     # -- trail ---------------------------------------------------------------
 
@@ -229,92 +214,6 @@ class BitmaskEdgeStateModel(EdgeStateModel):
         self.trail.append(("o", axis, a, b))
         self.stats.arc_assignments += 1
         self.queue.append(("arc", axis, a, b))
-
-    # -- packed pair state (word-parallel nogood matching) -------------------
-
-    def packed_pair_state(self) -> Tuple[int, int]:
-        """Current (component_bits, comparability_bits) flat integers."""
-        if not self._track_pairs:
-            self._arm_pair_tracking()
-        return self._flat_comp, self._flat_cmpb
-
-    def pair_tables(
-        self,
-    ) -> Tuple[List[List[List[int]]], Dict[int, Tuple[int, int, int]]]:
-        """``(pair_bit, pair_of_bit)`` for the flat pair-bit addressing."""
-        if not self._track_pairs:
-            self._arm_pair_tracking()
-        return self._pair_bit, self._pair_of_bit
-
-    def _arm_pair_tracking(self) -> None:
-        """Build the pair-bit index, rebuild the flat state from the state
-        arrays, and rebind the mutation hot paths to tracking variants."""
-        n, d = self.n, self.d
-        pair_bit = [[[0] * n for _ in range(n)] for _ in range(d)]
-        pair_of_bit: Dict[int, Tuple[int, int, int]] = {}
-        p = 0
-        for axis in range(d):
-            rows = pair_bit[axis]
-            for u in range(n):
-                for v in range(u + 1, n):
-                    bit = 1 << p
-                    rows[u][v] = bit
-                    rows[v][u] = bit
-                    pair_of_bit[p] = (axis, u, v)
-                    p += 1
-        comp_flat = 0
-        cmpb_flat = 0
-        for axis in range(d):
-            state = self.state[axis]
-            rows = pair_bit[axis]
-            for u in range(n):
-                srow = state[u]
-                brow = rows[u]
-                for v in range(u + 1, n):
-                    st = srow[v]
-                    if st == COMPONENT:
-                        comp_flat |= brow[v]
-                    elif st == COMPARABILITY:
-                        cmpb_flat |= brow[v]
-        self._pair_bit = pair_bit
-        self._pair_of_bit = pair_of_bit
-        self._flat_comp = comp_flat
-        self._flat_cmpb = cmpb_flat
-        self._track_pairs = True
-        # Instance-attribute rebinding: untracked models keep the plain
-        # class methods.
-        self._set_state = self._set_state_tracked  # type: ignore[assignment]
-        self.rollback = self._rollback_tracked  # type: ignore[assignment]
-
-    def _set_state_tracked(self, axis: int, u: int, v: int, value: int) -> None:
-        before = len(self.trail)
-        BitmaskEdgeStateModel._set_state(self, axis, u, v, value)
-        # Only a trail append means a fresh decision (re-asserting the
-        # current state is a silent no-op).
-        if len(self.trail) != before:
-            bit = self._pair_bit[axis][u][v]
-            if value == COMPONENT:
-                self._flat_comp |= bit
-            else:
-                self._flat_cmpb |= bit
-
-    def _rollback_tracked(self, mark: int) -> None:
-        trail = self.trail
-        if len(trail) > mark:
-            state = self.state
-            pair_bit = self._pair_bit
-            comp_flat, cmpb_flat = self._flat_comp, self._flat_cmpb
-            for i in range(len(trail) - 1, mark - 1, -1):
-                kind, axis, u, v = trail[i]
-                if kind != "s":
-                    continue
-                bit = pair_bit[axis][u][v]
-                if state[axis][u][v] == COMPONENT:
-                    comp_flat &= ~bit
-                else:
-                    cmpb_flat &= ~bit
-            self._flat_comp, self._flat_cmpb = comp_flat, cmpb_flat
-        BitmaskEdgeStateModel.rollback(self, mark)
 
     # -- propagation handlers --------------------------------------------------
 

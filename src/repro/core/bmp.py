@@ -123,9 +123,9 @@ class _ProbeRunner:
             if carried_stats is not None:
                 # Fold every counter of the earlier slices in — a resumed
                 # slice continues the same logical search, so conflicts,
-                # leaves, restarts, and the learning counters accumulate
-                # exactly like nodes do (historically only nodes carried,
-                # and the rest silently reset on every resume).
+                # leaves and propagation counters accumulate exactly like
+                # nodes do (historically only nodes carried, and the rest
+                # silently reset on every resume).
                 opp.stats.carry(carried_stats)
             if carried_stats is not None and opp.checkpoint is not None:
                 # Keep the ``checkpoint.nodes == stats.nodes`` invariant of

@@ -27,7 +27,6 @@ from .boxes import PackingInstance, Placement
 from .bounds import BOUND_NAMES, prove_infeasible_named
 from .deadline import DEADLINE_LIMIT, Deadline
 from .edgestate import PropagationOptions
-from .nogoods import LearningOptions
 from .search import (
     BranchAndBound,
     BranchingOptions,
@@ -60,13 +59,6 @@ class SolverOptions:
     ``disabled_bounds`` names stage-1 bounds to skip (by function name, see
     :data:`repro.core.bounds.BOUND_NAMES`) — an ablation knob; disabling
     bounds never changes answers, only how early infeasibility is proven.
-
-    ``learning`` (a :class:`repro.core.nogoods.LearningOptions`) configures
-    the conflict-learning layer of the search stage: nogood recording with
-    activity-based eviction, Luby restarts, conflict-guided branching.
-    Disabled by default, which keeps the explored tree node-for-node
-    identical to the reference oracle; enabling it never changes answers,
-    only the tree that proves them.
     """
 
     use_bounds: bool = True
@@ -81,7 +73,6 @@ class SolverOptions:
     fault_plan: Optional[object] = None
     kernel: str = "bitmask"
     disabled_bounds: tuple = ()
-    learning: LearningOptions = field(default_factory=LearningOptions)
 
     def __post_init__(self) -> None:
         if self.time_limit is not None and self.time_limit < 0:
@@ -99,9 +90,6 @@ class SolverOptions:
             raise ValueError(
                 f"unknown bound name(s) {unknown}; expected from {BOUND_NAMES}"
             )
-        if isinstance(self.learning, bool):
-            # Convenience: SolverOptions(learning=True) means defaults-on.
-            self.learning = LearningOptions(enabled=self.learning)
 
 
 @dataclass
@@ -319,7 +307,6 @@ def solve_opp(
             fault_plan=_active_fault_plan(options),
             telemetry=telemetry if telemetry.enabled else None,
             kernel=options.kernel,
-            learning=options.learning,
         )
         status, placement = solver.solve()
         span.set(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..graphs.chordal import is_chordal, is_chordal_masks
@@ -38,13 +38,6 @@ from .edgestate import (
     Conflict,
     EdgeStateModel,
     PropagationOptions,
-)
-from .nogoods import (
-    ConflictAnalyzer,
-    LearningOptions,
-    NogoodStore,
-    luby,
-    opposite_state,
 )
 from .placement import extract_placement, extract_placement_masks
 
@@ -68,10 +61,11 @@ class CheckpointMismatch(ValueError):
     but it is the wrong call when resuming would silently *lose* state the
     caller believes is being carried forward.  Two cases raise instead:
 
-    * a checkpoint taken mid-restart-schedule by a learning run
-      (``restart_round > 0`` with a serialized nogood store) resumed with
-      learning off — replaying the prefix without the store would quietly
-      discard the restart context the prefix was searched under;
+    * a stored checkpoint taken mid-restart-schedule by the retired
+      conflict-learning search (``restart_round > 0`` with a serialized
+      nogood store; see :meth:`SearchCheckpoint.from_dict`) — its prefix
+      was searched under that store, so replaying it without the store
+      would quietly discard the restart context;
     * a distributed subtree prefix that diverges from the deterministic
       branching heuristic (or is refuted by propagation) — the descriptor
       was produced against a different tree, and searching "some other"
@@ -89,10 +83,6 @@ class CheckpointMismatch(ValueError):
         self.reason = reason
         self.restart_round = restart_round
         self.fingerprint = fingerprint
-
-
-class _Restart(Exception):
-    """Internal: the current restart round exhausted its conflict budget."""
 
 
 class InjectedFault(Exception):
@@ -157,21 +147,12 @@ class SearchCheckpoint:
     restarting.  ``fingerprint`` ties the snapshot to the instance and
     branching configuration that produced it; a mismatched checkpoint is
     ignored (recorded as a ``checkpoint_mismatch`` fault), never replayed.
-
-    A learning run additionally records which restart round it was in and
-    the serialized nogood store, so a kill/resume keeps its learned clauses
-    instead of rediscovering them.  The fingerprint deliberately ignores the
-    learning configuration: nogood pruning never skips solutions, so the
-    "siblings before the recorded value are exhausted" invariant holds even
-    when a checkpoint crosses a learning-on/learning-off boundary.
     """
 
     decisions: List[Tuple[int, int, int, int]] = field(default_factory=list)
     nodes: int = 0
     fingerprint: str = ""
     entrant: Optional[str] = None
-    restart_round: int = 0
-    nogoods: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -179,19 +160,33 @@ class SearchCheckpoint:
             "nodes": self.nodes,
             "fingerprint": self.fingerprint,
             "entrant": self.entrant,
-            "restart_round": self.restart_round,
-            "nogoods": self.nogoods,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SearchCheckpoint":
+        """Decode a stored checkpoint.
+
+        Journals outlive the code that wrote them.  A payload taken
+        mid-restart-schedule by the retired conflict-learning search
+        (``restart_round > 0`` with a ``nogoods`` store) is refused with
+        :class:`CheckpointMismatch`: its prefix was searched under that
+        store, and this search cannot carry it.  Round-0 payloads and
+        payloads without a store replay like any other prefix.
+        """
+        restart_round = data.get("restart_round", 0)
+        if restart_round > 0 and data.get("nogoods") is not None:
+            raise CheckpointMismatch(
+                "checkpoint was taken mid-restart-schedule by a conflict-"
+                f"learning run (restart_round={restart_round}, nogood store "
+                "present); resuming would silently drop the restart context",
+                restart_round=restart_round,
+                fingerprint=data.get("fingerprint", ""),
+            )
         return cls(
             decisions=[tuple(d) for d in data.get("decisions", [])],
             nodes=data.get("nodes", 0),
             fingerprint=data.get("fingerprint", ""),
             entrant=data.get("entrant"),
-            restart_round=data.get("restart_round", 0),
-            nogoods=data.get("nogoods"),
         )
 
 
@@ -230,11 +225,13 @@ class SearchStats:
     propagated_arcs: int = 0
     limit: Optional[str] = None
     faults: int = 0
-    restarts: int = 0
-    nogoods_learned: int = 0
-    nogood_prunes: int = 0
-    nogood_forcings: int = 0
-    nogoods_evicted: int = 0
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "SearchStats":
+        """Decode stored counters.  Journals outlive the code that wrote
+        them, so counter names this search no longer keeps are dropped."""
+        known = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in data.items() if k in known})
 
     def merge_model(self, model: EdgeStateModel) -> None:
         self.conflicts += model.stats.conflicts
@@ -256,11 +253,6 @@ class SearchStats:
         self.propagated_arcs += other.propagated_arcs
         self.elapsed = max(self.elapsed, other.elapsed)
         self.faults += other.faults
-        self.restarts += other.restarts
-        self.nogoods_learned += other.nogoods_learned
-        self.nogood_prunes += other.nogood_prunes
-        self.nogood_forcings += other.nogood_forcings
-        self.nogoods_evicted += other.nogoods_evicted
 
     def carry(self, earlier: "SearchStats") -> None:
         """Fold an *earlier, sequential* slice of the same logical search
@@ -269,7 +261,7 @@ class SearchStats:
         Unlike :meth:`merge`, the slices ran back to back, so ``elapsed``
         adds up too.  Every counter accumulates — a resumed slice must
         never present itself as a fresh search that "reset" the
-        conflict/leaf/learning totals of the slices before it.
+        conflict/leaf totals of the slices before it.
         """
         self.nodes += earlier.nodes
         self.conflicts += earlier.conflicts
@@ -279,11 +271,6 @@ class SearchStats:
         self.propagated_arcs += earlier.propagated_arcs
         self.elapsed += earlier.elapsed
         self.faults += earlier.faults
-        self.restarts += earlier.restarts
-        self.nogoods_learned += earlier.nogoods_learned
-        self.nogood_prunes += earlier.nogood_prunes
-        self.nogood_forcings += earlier.nogood_forcings
-        self.nogoods_evicted += earlier.nogoods_evicted
 
     def canonical_dict(self) -> Dict[str, int]:
         """The deterministic tree-shape counters, nothing else.
@@ -302,11 +289,6 @@ class SearchStats:
             "leaf_failures": self.leaf_failures,
             "propagated_states": self.propagated_states,
             "propagated_arcs": self.propagated_arcs,
-            "restarts": self.restarts,
-            "nogoods_learned": self.nogoods_learned,
-            "nogood_prunes": self.nogood_prunes,
-            "nogood_forcings": self.nogood_forcings,
-            "nogoods_evicted": self.nogoods_evicted,
         }
 
 
@@ -401,7 +383,6 @@ class BranchAndBound:
         fault_plan: Optional[Any] = None,
         telemetry: Optional[Any] = None,
         kernel: str = "bitmask",
-        learning: Optional[LearningOptions] = None,
         subtree: Optional[List[Tuple[int, int, int, int]]] = None,
     ) -> None:
         """``pre_states`` / ``pre_arcs`` fix edge states / orientations before
@@ -431,12 +412,6 @@ class BranchAndBound:
         an alias) or ``"reference"`` (the oracle).  Both explore the
         identical tree, so the choice is deliberately *not* part of the
         checkpoint fingerprint — checkpoints are portable across kernels.
-
-        ``learning`` (a :class:`repro.core.nogoods.LearningOptions`)
-        switches the conflict-learning layer on: nogood recording and
-        store-based pruning, Luby restarts, and conflict-guided branching.
-        The default (disabled) leaves the explored tree bit-for-bit
-        identical to the unlearned engine.
 
         ``subtree`` scopes the search to one subtree of the full tree: the
         decision prefix (a :class:`SplitTask` ``prefix``, produced by
@@ -498,71 +473,13 @@ class BranchAndBound:
         self._limit_reason = "time limit"
         if self.branching.strategy not in ("guided", "static"):
             raise ValueError(f"unknown strategy {self.branching.strategy!r}")
-        self.learning = learning or LearningOptions()
         self._subtree = [tuple(d) for d in (subtree or [])]
-        self._path_base = 0
         if self._subtree and self.resume_from is not None:
             raise ValueError(
                 "subtree and resume_from are mutually exclusive; a "
                 "reissued subtree restarts from its prefix"
             )
-        if (
-            self.resume_from is not None
-            and self.resume_from.nogoods is not None
-            and self.resume_from.restart_round > 0
-            and not self.learning.enabled
-        ):
-            # The prefix of a mid-restart-schedule checkpoint was searched
-            # under the recorded nogood store; resuming with learning off
-            # would silently drop that restart context.  Refuse loudly —
-            # the caller either re-enables learning or restarts cleanly.
-            raise CheckpointMismatch(
-                "checkpoint was taken mid-restart-schedule by a learning "
-                f"run (restart_round={self.resume_from.restart_round}, "
-                "nogood store present) but learning is disabled; resuming "
-                "would silently drop the restart context",
-                restart_round=self.resume_from.restart_round,
-                fingerprint=self.resume_from.fingerprint,
-            )
-        self._store: Optional[NogoodStore] = None
-        self._analyzer: Optional[ConflictAnalyzer] = None
-        self._pair_activity: Dict[Tuple[int, int, int], float] = {}
-        self._pair_inc = 1.0
-        self._restart_round = 0
-        self._round_budget: Optional[int] = None
-        self._round_conflicts = 0
-        if self.learning.enabled:
-            self._store = NogoodStore(
-                limit=self.learning.store_limit,
-                activity_decay=self.learning.activity_decay,
-            )
-            if (
-                self.resume_from is not None
-                and self.resume_from.nogoods is not None
-            ):
-                # A resumed learning run keeps its learned clauses; the
-                # store round-trips byte-identically through the
-                # checkpoint (run counters live on SearchStats, so no
-                # slice double-counts).
-                self._store = NogoodStore.from_dict(
-                    self.resume_from.nogoods,
-                    limit=self.learning.store_limit,
-                    activity_decay=self.learning.activity_decay,
-                )
-                self._restart_round = self.resume_from.restart_round
-            self._analyzer = ConflictAnalyzer(
-                instance,
-                self.model.options,
-                kernel,
-                self.pre_states,
-                self.pre_arcs,
-                budget=self.learning.analysis_budget,
-                max_literals=self.learning.max_literals,
-            )
         self._branch_order = self._make_branch_order()
-        self._branch_rank = {
-            triple: rank for rank, triple in enumerate(self._branch_order)
-        }
         # The picker decides ``_time_order`` first, then ``_spatial_order``.
         # The static strategy is the same loop over one list.
         if self.branching.strategy == "static":
@@ -646,7 +563,7 @@ class BranchAndBound:
                     # the node limit could never make progress and chained
                     # resumes would stall forever at the same frontier.
                     self.node_limit += len(replay) + 1
-            placement = self._run_rounds(replay)
+            placement = self._dfs(replay, ZERO_CURSOR)
             status = "sat" if placement is not None else "unsat"
             return self._finish(status, placement, start)
         except LimitReached as limit:
@@ -662,48 +579,6 @@ class BranchAndBound:
             self.checkpoint = self._snapshot()
             return self._finish("unknown", None, start)
 
-    def _run_rounds(
-        self, replay: Optional[List[Tuple[int, int, int, int]]]
-    ) -> Optional[Placement]:
-        """Drive the DFS through its restart schedule.
-
-        Without learning (or with restarts off) this is a single exhaustive
-        round.  With restarts, round ``i`` gives up after
-        ``luby(i+1) * restart_base`` conflicts, rolls the model back to the
-        root, and starts over — keeping the nogood store and branching
-        activities, which is the whole point — until the final round, which
-        runs unbounded so the search stays complete.
-        """
-        if not (self.learning.enabled and self.learning.restarts):
-            return self._dfs(replay, ZERO_CURSOR)
-        root_mark = self.model.mark()
-        while True:
-            if self._restart_round >= self.learning.max_restarts:
-                self._round_budget = None
-            else:
-                self._round_budget = self.learning.restart_base * luby(
-                    self._restart_round + 1
-                )
-            self._round_conflicts = 0
-            try:
-                return self._dfs(replay, ZERO_CURSOR)
-            except _Restart:
-                self.stats.restarts += 1
-                self._restart_round += 1
-                self.model.rollback(root_mark)
-                # A subtree search restarts to its subtree root, not the
-                # tree root: the prefix stays on the path (and the model
-                # trail below root_mark) across rounds.
-                del self._path[self._path_base:]
-                replay = None
-                if self.telemetry.enabled:
-                    self.telemetry.event(
-                        "search.restart",
-                        round=self._restart_round,
-                        nodes=self.stats.nodes,
-                        nogoods=len(self._store) if self._store else 0,
-                    )
-
     def _enter_subtree(self) -> None:
         """Apply the subtree prefix as search decisions (stats-neutral).
 
@@ -711,10 +586,10 @@ class BranchAndBound:
         heuristic would pick at that node with a legal value — anything
         else means the descriptor was produced against a different tree
         and is a :class:`CheckpointMismatch`, never a silent drift.  The
-        prefix stays on ``self._path`` (conflict analysis and checkpoints
-        see the true root-relative path), and the model counters are
-        re-based afterwards so prefix propagation — already counted by the
-        splitter — is excluded from this run's share of the accounting.
+        prefix stays on ``self._path`` (checkpoints see the true
+        root-relative path), and the model counters are re-based
+        afterwards so prefix propagation — already counted by the splitter
+        — is excluded from this run's share of the accounting.
         """
         cursor = ZERO_CURSOR
         for axis, u, v, value in self._subtree:
@@ -741,7 +616,6 @@ class BranchAndBound:
                     fingerprint=self._fingerprint,
                 ) from exc
             self._path.append((axis, u, v, value))
-        self._path_base = len(self._path)
         stats = self.model.stats
         stats.conflicts = 0
         stats.forced_states = 0
@@ -773,11 +647,6 @@ class BranchAndBound:
             raise ValueError("cannot split a resumed search")
         if self._subtree:
             raise ValueError("cannot split inside a subtree search")
-        if self.learning.enabled:
-            raise ValueError(
-                "splitting requires learning off: the splitter's share of "
-                "the accounting must be a pure function of the tree"
-            )
         start = time.monotonic()
         try:
             self.model.seed()
@@ -861,15 +730,11 @@ class BranchAndBound:
             stats.conflicts, stats.forced_states, stats.forced_arcs = before
 
     def _snapshot(self) -> SearchCheckpoint:
-        checkpoint = SearchCheckpoint(
+        return SearchCheckpoint(
             decisions=[tuple(d) for d in self._path],
             nodes=self.stats.nodes,
             fingerprint=self._fingerprint,
         )
-        if self.learning.enabled and self._store is not None:
-            checkpoint.restart_round = self._restart_round
-            checkpoint.nogoods = self._store.to_dict()
-        return checkpoint
 
     def _finish(
         self, status: str, placement: Optional[Placement], start: float
@@ -895,24 +760,6 @@ class BranchAndBound:
                 )
             if status == "unsat":
                 metrics.counter("prune.search").add()
-            if self.learning.enabled:
-                metrics.counter("learning.restarts").add(self.stats.restarts)
-                metrics.counter("learning.nogoods_learned").add(
-                    self.stats.nogoods_learned
-                )
-                metrics.counter("learning.nogood_prunes").add(
-                    self.stats.nogood_prunes
-                )
-                metrics.counter("learning.nogood_forcings").add(
-                    self.stats.nogood_forcings
-                )
-                metrics.counter("learning.nogoods_evicted").add(
-                    self.stats.nogoods_evicted
-                )
-                if self._store is not None:
-                    metrics.gauge("learning.store_size").set(
-                        float(len(self._store))
-                    )
         return status, placement
 
     def _dfs(
@@ -948,12 +795,6 @@ class BranchAndBound:
                     conflicts=self.stats.conflicts,
                     leaves=self.stats.leaves,
                 )
-        if self._store is not None and len(self._store) and self._apply_nogoods():
-            # The store refutes this node outright — it extends a learned
-            # forbidden prefix, so no completion can be feasible.
-            self.stats.nogood_prunes += 1
-            self._note_round_conflict()
-            return None
         choice, cursor = self._pick_branch(cursor)
         if choice is None:
             return self._verify_leaf()
@@ -988,8 +829,6 @@ class BranchAndBound:
                 self.model.assign_state(axis, u, v, value)
             except Conflict:
                 self.model.rollback(mark)
-                if self.learning.enabled:
-                    self._on_conflict(axis, u, v, value)
                 continue
             # The path is only unwound on a normal return: when a limit or
             # fault aborts the recursion, the stack as-is IS the checkpoint.
@@ -1000,136 +839,6 @@ class BranchAndBound:
                 return placement
             self.model.rollback(mark)
         return None
-
-    def _apply_nogoods(self) -> bool:
-        """Filter the current node through the nogood store.
-
-        A nogood whose literals all hold refutes the node (True).  A *unit*
-        nogood — exactly one literal undecided, the rest holding — forces
-        that literal's complement (edge states are binary once decided);
-        forcing loops to a fixpoint because each forced state can make
-        further nogoods unit.  All assignments land on the model trail after
-        the caller's mark, so the ordinary rollback undoes them.
-
-        Kernels exposing a packed pair state (``bitmask``) are matched
-        word-parallel through :meth:`_apply_nogoods_packed` — identical
-        outcomes, bump order, and forcing order.
-        """
-        if getattr(self.model, "packed_pair_state", None) is not None:
-            return self._apply_nogoods_packed()
-
-        store = self._store
-        state = self.model.state
-        changed = True
-        while changed:
-            changed = False
-            for nogood in store.nogoods:
-                unit: Optional[Tuple[int, int, int, int]] = None
-                matches = True
-                for axis, u, v, value in nogood.literals:
-                    cur = state[axis][u][v]
-                    if cur == UNDECIDED:
-                        if unit is not None:
-                            matches = False
-                            break
-                        unit = (axis, u, v, value)
-                    elif cur != value:
-                        matches = False
-                        break
-                if not matches:
-                    continue
-                if unit is None:
-                    store.bump(nogood)
-                    return True
-                axis, u, v, value = unit
-                store.bump(nogood)
-                try:
-                    self.model.assign_state(axis, u, v, opposite_state(value))
-                except Conflict:
-                    # The complement is refuted too: the node is dead either
-                    # way.  The caller's rollback cleans the partial trail.
-                    return True
-                self.stats.nogood_forcings += 1
-                changed = True
-        return False
-
-    def _apply_nogoods_packed(self) -> bool:
-        """Word-parallel nogood filter for kernels with a packed pair state.
-
-        Each nogood is two precomputed bit masks (component literals /
-        comparability literals) over the model's flat pair bits; mismatch,
-        full-match, and unit detection are a handful of integer operations
-        per nogood instead of a Python literal loop.  Semantics — store
-        iteration order, bump order, forcing order, the while-changed
-        fixpoint — are identical to the scalar path.
-        """
-        store = self._store
-        model = self.model
-        pair_bit, pair_of_bit = model.pair_tables()
-        changed = True
-        while changed:
-            changed = False
-            for nogood in store.nogoods:
-                masks = nogood.packed_masks(pair_bit)
-                if masks is None:
-                    # Contradictory literals on one pair: the scalar loop
-                    # can never match or unit-force it either.
-                    continue
-                ng_comp, ng_cmpb = masks
-                cur_comp, cur_cmpb = model.packed_pair_state()
-                if (ng_comp & cur_cmpb) | (ng_cmpb & cur_comp):
-                    continue  # some literal is decided the other way
-                undec = (ng_comp | ng_cmpb) & ~(cur_comp | cur_cmpb)
-                if not undec:
-                    store.bump(nogood)
-                    return True
-                if undec & (undec - 1):
-                    continue  # two or more literals still open
-                axis, u, v = pair_of_bit[undec.bit_length() - 1]
-                value = COMPONENT if ng_comp & undec else COMPARABILITY
-                store.bump(nogood)
-                try:
-                    model.assign_state(axis, u, v, opposite_state(value))
-                except Conflict:
-                    return True
-                self.stats.nogood_forcings += 1
-                changed = True
-        return False
-
-    def _on_conflict(self, axis: int, u: int, v: int, value: int) -> None:
-        """A decision was refuted by propagation: learn from it.
-
-        Bumps the conflict-frequency score of the failing (pair, axis),
-        tries to extract and store a minimal nogood from the failing
-        decision prefix, and charges the restart budget (raising
-        :class:`_Restart` when the round is out of conflicts).
-        """
-        if self.learning.guided_branching:
-            self._pair_activity[(axis, u, v)] = (
-                self._pair_activity.get((axis, u, v), 0.0) + self._pair_inc
-            )
-            self._pair_inc /= self.learning.activity_decay
-            if self._pair_inc > 1e100:
-                for key in self._pair_activity:
-                    self._pair_activity[key] *= 1e-100
-                self._pair_inc *= 1e-100
-        analyzer = self._analyzer
-        if analyzer is not None and analyzer.replays < analyzer.budget:
-            outcome = analyzer.analyze(self._path + [(axis, u, v, value)])
-            if outcome.literals is not None:
-                added, evicted = self._store.add(outcome.literals)
-                if added:
-                    self.stats.nogoods_learned += 1
-                self.stats.nogoods_evicted += evicted
-        self._note_round_conflict()
-
-    def _note_round_conflict(self) -> None:
-        self._round_conflicts += 1
-        if (
-            self._round_budget is not None
-            and self._round_conflicts >= self._round_budget
-        ):
-            raise _Restart()
 
     def _value_order(self, axis: int, u: int, v: int) -> Tuple[int, int]:
         if self.branching.strategy == "static":
@@ -1163,23 +872,6 @@ class BranchAndBound:
           that node.
         """
         state = self.model.state
-        if self._pair_activity:
-            # Conflict-guided branching: decide the (pair, axis) most often
-            # implicated in conflicts first; ties fall back to the static
-            # rank so the choice stays deterministic.  The map is empty
-            # until the first conflict, so the pre-conflict tree is the
-            # base heuristic's tree unchanged.
-            best: Optional[Tuple[int, int, int]] = None
-            best_key: Optional[Tuple[float, int]] = None
-            for triple, activity in self._pair_activity.items():
-                axis, u, v = triple
-                if state[axis][u][v] != UNDECIDED:
-                    continue
-                key = (-activity, self._branch_rank[triple])
-                if best_key is None or key < best_key:
-                    best_key, best = key, triple
-            if best is not None:
-                return best, cursor
         t, s, c = cursor
         # Guided: all time-axis pairs first (they drive the implications and
         # determine which spatial relations matter at all)...  Static: the

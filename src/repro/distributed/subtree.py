@@ -83,10 +83,8 @@ def split_instance(
 ) -> Tuple[SplitResult, List[SubtreeTask]]:
     """Split an instance's search tree into ``>= target`` subtree tasks.
 
-    Runs the core frontier splitter (always learning-off: the splitter's
-    share of the accounting must be a pure function of the tree) and wraps
-    its frontier in queue-ready :class:`SubtreeTask` descriptors, ordered
-    by serial DFS position.
+    Runs the core frontier splitter and wraps its frontier in queue-ready
+    :class:`SubtreeTask` descriptors, ordered by serial DFS position.
     """
     solver = BranchAndBound(
         instance,

@@ -27,7 +27,6 @@ from dataclasses import asdict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.boxes import PackingInstance
-from ..core.nogoods import NogoodStore
 from ..core.search import BranchAndBound, CheckpointMismatch, InjectedFault
 from ..io.serialize import instance_from_dict
 from ..parallel.faults import DistributedFaultPlan, KILL_EXIT_CODE
@@ -56,17 +55,13 @@ def solve_subtree(
     *,
     should_stop: Optional[Callable[[], bool]] = None,
     fault_plan: Optional[Any] = None,
-    shared_nogoods: Optional[Dict[str, Any]] = None,
     telemetry: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """Search one subtree and return its claim payload.
 
     ``options`` is a :class:`repro.core.opp.SolverOptions`; stage 1/2
     (bounds, heuristics) do not apply below a decision prefix, so the
-    search stage runs directly.  ``shared_nogoods`` seeds the learned
-    store with the coordinator's verified global clauses (only meaningful
-    with ``learning`` on; sharing trades the byte-identical-stats
-    guarantee for cross-worker pruning — answers are unaffected).
+    search stage runs directly.
     """
     solver = BranchAndBound(
         instance,
@@ -78,19 +73,10 @@ def solve_subtree(
         fault_plan=fault_plan,
         telemetry=telemetry,
         kernel=options.kernel,
-        learning=options.learning,
         subtree=prefix,
     )
-    if shared_nogoods is not None and solver._store is not None:
-        # Seed the private store with the coordinator's verified clauses;
-        # counters stay on SearchStats, so nothing double-counts.
-        solver._store = NogoodStore.from_dict(
-            shared_nogoods,
-            limit=options.learning.store_limit,
-            activity_decay=options.learning.activity_decay,
-        )
     status, placement = solver.solve()
-    claim: Dict[str, Any] = {
+    return {
         "status": status,
         "limit": solver.stats.limit,
         "stats": asdict(solver.stats),
@@ -110,13 +96,6 @@ def solve_subtree(
             "conflicts": solver.stats.conflicts,
         },
     }
-    if (
-        options.learning.enabled
-        and solver._store is not None
-        and len(solver._store)
-    ):
-        claim["nogoods"] = solver._store.to_dict()
-    return claim
 
 
 def _worker_main(
@@ -147,7 +126,7 @@ def _worker_main(
         message = task_queue.get()
         if message[0] == MSG_STOP:
             return
-        _, task_id, prefix_raw, order_index, epoch, shared_nogoods = message
+        _, task_id, prefix_raw, order_index, epoch = message
         prefix = [tuple(d) for d in prefix_raw]
         result_queue.put((MSG_STARTED, worker_id, task_id, epoch))
         drop_heartbeats = chaos is not None and chaos.fires(

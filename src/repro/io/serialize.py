@@ -170,7 +170,7 @@ def opp_result_from_dict(data: Dict[str, Any]) -> "OPPResult":
             else None
         ),
         certificate=data.get("certificate"),
-        stats=SearchStats(**data.get("stats", {})),
+        stats=SearchStats.from_dict(data.get("stats", {})),
         stage=data.get("stage", "search"),
         faults=[FaultRecord.from_dict(f) for f in data.get("faults", [])],
         checkpoint=(

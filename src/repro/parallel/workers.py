@@ -102,7 +102,7 @@ def decode_result(
         status=data["status"],
         placement=placement,
         certificate=data["certificate"],
-        stats=SearchStats(**data["stats"]),
+        stats=SearchStats.from_dict(data["stats"]),
         stage=data["stage"],
         faults=[FaultRecord.from_dict(f) for f in data.get("faults", [])],
         checkpoint=checkpoint,

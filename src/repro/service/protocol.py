@@ -181,7 +181,6 @@ class SolveRequest:
     instance: Any  # a PackingInstance
     tenant: str = DEFAULT_TENANT
     kernel: Optional[str] = None
-    learning: bool = False
     time_limit: Optional[float] = None
     deadline_ms: Optional[int] = None
     wait: bool = True
@@ -192,7 +191,6 @@ class SolveRequest:
             "tenant": self.tenant,
             "instance": instance_to_dict(self.instance),
             "kernel": self.kernel,
-            "learning": self.learning,
             "time_limit": self.time_limit,
             "deadline_ms": self.deadline_ms,
             "wait": self.wait,
@@ -204,8 +202,8 @@ class SolveRequest:
         errors = _Errors()
         _check_fields(
             data,
-            ("kind", "tenant", "instance", "kernel", "learning",
-             "time_limit", "deadline_ms", "wait"),
+            ("kind", "tenant", "instance", "kernel", "time_limit",
+             "deadline_ms", "wait"),
             errors,
         )
         _kind(data, "solve", errors)
@@ -220,7 +218,6 @@ class SolveRequest:
             except (KeyError, TypeError, ValueError) as exc:
                 errors.add("instance", f"malformed instance encoding: {exc}")
         kernel = _kernel(data, errors)
-        learning = _bool(data, "learning", False, errors)
         time_limit = _time_limit(data, errors)
         deadline_ms = _deadline_ms(data, errors)
         wait = _bool(data, "wait", True, errors)
@@ -229,7 +226,6 @@ class SolveRequest:
             instance=instance,
             tenant=tenant,
             kernel=kernel,
-            learning=learning,
             time_limit=time_limit,
             deadline_ms=deadline_ms,
             wait=wait,
@@ -253,7 +249,6 @@ class BatchRequest:
     entries: Tuple[ManifestEntry, ...]
     tenant: str = DEFAULT_TENANT
     kernel: Optional[str] = None
-    learning: bool = False
     deadline_ms: Optional[int] = None
     wait: bool = False
 
@@ -263,7 +258,6 @@ class BatchRequest:
             "tenant": self.tenant,
             "entries": [e.to_dict() for e in self.entries],
             "kernel": self.kernel,
-            "learning": self.learning,
             "deadline_ms": self.deadline_ms,
             "wait": self.wait,
         }
@@ -273,8 +267,8 @@ class BatchRequest:
         data = _require_mapping(data)
         errors = _Errors()
         _check_fields(
-            data, ("kind", "tenant", "entries", "kernel", "learning",
-                   "deadline_ms", "wait"),
+            data, ("kind", "tenant", "entries", "kernel", "deadline_ms",
+                   "wait"),
             errors,
         )
         _kind(data, "batch", errors)
@@ -303,7 +297,6 @@ class BatchRequest:
                 seen.add(entry.instance_id)
                 entries.append(entry)
         kernel = _kernel(data, errors)
-        learning = _bool(data, "learning", False, errors)
         deadline_ms = _deadline_ms(data, errors)
         wait = _bool(data, "wait", False, errors)
         errors.raise_if_any()
@@ -311,7 +304,6 @@ class BatchRequest:
             entries=tuple(entries),
             tenant=tenant,
             kernel=kernel,
-            learning=learning,
             deadline_ms=deadline_ms,
             wait=wait,
         )

@@ -72,11 +72,6 @@ def summarize(telemetry: Any) -> Dict[str, Any]:
         "probe_seconds_max": probe.get("max") or 0.0,
         "resume_slices": counters.get("probe.resume_slices", 0),
         "checkpoint_resumes": counters.get("checkpoint.resumes", 0),
-        "restarts": counters.get("learning.restarts", 0),
-        "nogoods_learned": counters.get("learning.nogoods_learned", 0),
-        "nogood_prunes": counters.get("learning.nogood_prunes", 0),
-        "nogood_forcings": counters.get("learning.nogood_forcings", 0),
-        "nogoods_evicted": counters.get("learning.nogoods_evicted", 0),
         "pool_rebuilds": counters.get("portfolio.pool_rebuilds", 0),
         "entrant_retries": counters.get("portfolio.retries", 0),
         "entrants": counters.get("portfolio.entrants", 0),
@@ -158,14 +153,6 @@ def render(telemetry: Any) -> str:
             f"portfolio:          {s['entrants']} entrant runs"
             f"  (pool rebuilds: {s['pool_rebuilds']}, "
             f"retries: {s['entrant_retries']})"
-        )
-    if s["nogoods_learned"] or s["restarts"]:
-        lines.append(
-            f"conflict learning:  {s['nogoods_learned']} nogoods learned"
-            f"  (prunes: {s['nogood_prunes']}, "
-            f"forcings: {s['nogood_forcings']}, "
-            f"evicted: {s['nogoods_evicted']}, "
-            f"restarts: {s['restarts']})"
         )
     if s["resume_slices"] or s["checkpoint_resumes"]:
         lines.append(

@@ -5,14 +5,12 @@ a cursor the parent node hands down, instead of rescanning from index 0.
 That is only sound while the first undecided entry moves forward along
 every path.  These tests copy the full-scan rule into :func:`scan_pick`
 and check, at every node the search visits, that the cursor's choice
-equals the scan's — under the guided and static strategies, with
-conflict learning (activity-guided picks and restarts), across a split
-and its subtree searches, and across a checkpoint resume.  Bounds and
+equals the scan's — under the guided and static strategies, across a
+split and its subtree searches, and across a checkpoint resume.  Bounds and
 heuristics play no part: the searches run ``BranchAndBound`` directly.
 """
 
 from repro.core.edgestate import COMPONENT, UNDECIDED
-from repro.core.nogoods import LearningOptions
 from repro.core.search import BranchAndBound, BranchingOptions
 from repro.instances import differential_instances
 
@@ -21,24 +19,11 @@ COUNT = 150
 NODE_LIMIT = 400
 
 STATIC = BranchingOptions(strategy="static")
-#: A small restart base so the small differential trees restart too.
-LEARNING = LearningOptions(enabled=True, restart_base=2)
 
 
 def scan_pick(solver):
     """The full-scan branching rule: first undecided entry from index 0."""
     state = solver.model.state
-    if solver._pair_activity:
-        best, best_key = None, None
-        for triple, activity in solver._pair_activity.items():
-            axis, u, v = triple
-            if state[axis][u][v] != UNDECIDED:
-                continue
-            key = (-activity, solver._branch_rank[triple])
-            if best_key is None or key < best_key:
-                best_key, best = key, triple
-        if best is not None:
-            return best
     order = solver._branch_order
     if solver.branching.strategy == "static":
         for axis, u, v in order:
@@ -83,29 +68,23 @@ def _instances():
 
 
 def _run_all(**kwargs):
-    picks = resumed = restarts = 0
+    picks = resumed = 0
     for instance in _instances():
         solver = Oracle(instance, node_limit=NODE_LIMIT, **kwargs)
         solver.solve()
         picks += solver.picks
         resumed += solver.resumed
-        restarts += solver.stats.restarts
-    return picks, resumed, restarts
+    return picks, resumed
 
 
 def test_guided_cursor_matches_scan():
-    picks, resumed, _ = _run_all()
+    picks, resumed = _run_all()
     assert picks > 1000 and resumed > picks // 2
 
 
 def test_static_cursor_matches_scan():
-    picks, resumed, _ = _run_all(branching=STATIC)
+    picks, resumed = _run_all(branching=STATIC)
     assert picks > 1000 and resumed > picks // 2
-
-
-def test_learning_cursor_matches_scan():
-    picks, _, restarts = _run_all(learning=LEARNING)
-    assert picks > 1000 and restarts > 0
 
 
 def test_split_and_subtrees_match_scan():

@@ -13,7 +13,6 @@ import pytest
 
 from repro.core import (
     InjectedFault,
-    LearningOptions,
     SolverOptions,
     make_instance,
     solve_opp,
@@ -240,92 +239,6 @@ class TestProcessCrashRecovery:
             clean = s.solve(make_instance([[1, 1, 1]], [2, 2, 2]))
         assert first.status == "sat"
         assert clean.status == "sat"
-
-
-class TestLearningUnderFaults:
-    """A fault landing mid-learning must not leak a broken nogood store.
-
-    The two leak paths guarded here: (1) a killed learning worker must
-    contribute *nothing* to the merged portfolio stats (its partial store
-    and counters die with it), and (2) a contained fault's checkpoint must
-    carry a store that still round-trips and resumes cleanly — an
-    interrupted learner is resumable, not corrupt.
-    """
-
-    LEARNING = LearningOptions(enabled=True, restart_base=2, max_restarts=4)
-    RETRY = RetryPolicy(
-        entrant_retries=1, pool_rebuilds=2, backoff=BackoffPolicy(base=0.01)
-    )
-
-    def _learning_configs(self, plan):
-        return [
-            PortfolioConfig(
-                "guided",
-                SolverOptions(fault_plan=plan, learning=self.LEARNING),
-            ),
-            PortfolioConfig(
-                "static",
-                SolverOptions(
-                    fault_plan=plan, learning=self.LEARNING, **SEARCH_ONLY
-                ),
-            ),
-        ]
-
-    def test_worker_killed_mid_learning_leaks_no_corrupt_stats(self):
-        plan = FaultPlan(kill_at_node=5, target="static")
-        with PortfolioSolver(
-            configs=self._learning_configs(plan), workers=2,
-            backend="process", retry=self.RETRY,
-        ) as solver:
-            result = solver.solve(_instance())
-        assert result.status == "sat"
-        assert result.placement is not None and result.placement.is_feasible()
-        # Merged learning counters must equal the per-entrant sum exactly:
-        # a killed worker contributes nothing, never garbage.
-        for name in ("restarts", "nogoods_learned", "nogood_prunes"):
-            per_entrant = sum(
-                getattr(s, name) for s in result.per_config.values()
-            )
-            assert getattr(result.stats, name) == per_entrant, name
-            assert getattr(result.stats, name) >= 0
-
-    def test_contained_fault_checkpoint_store_resumes(self):
-        faulted = solve_opp(
-            _instance(),
-            options=SolverOptions(
-                fault_plan=FaultPlan(raise_at_node=40),
-                learning=self.LEARNING,
-                **SEARCH_ONLY,
-            ),
-        )
-        assert faulted.status == "unknown"
-        assert faulted.checkpoint is not None
-        # The snapshot's store must survive a wire round trip intact...
-        from repro.core.search import SearchCheckpoint
-
-        wire = faulted.checkpoint.to_dict()
-        revived = SearchCheckpoint.from_dict(wire)
-        assert revived.to_dict() == wire
-        # ... and the resumed solve must reach the clean verdict.
-        resumed = solve_opp(
-            _instance(),
-            options=SolverOptions(learning=self.LEARNING, **SEARCH_ONLY),
-            resume_from=revived,
-        )
-        assert resumed.status == "sat"
-
-    def test_escalating_fault_mid_restart_contained_by_race(self):
-        plan = FaultPlan(raise_at_node=5, target="static", escalate=True)
-        with PortfolioSolver(
-            configs=list(reversed(self._learning_configs(plan))),
-            backend="serial",
-        ) as solver:
-            result = solver.solve(_instance())
-        assert result.status == "sat"
-        assert any(
-            f.kind == "entrant_error" and f.entrant == "static"
-            for f in result.faults
-        )
 
 
 class TestCacheCorruption:

@@ -219,15 +219,22 @@ class TestCommands:
         ]) == EXIT_OK
         assert list(store.glob("*.json")), "no verdict written to --cache"
 
-    def test_portfolio_honours_learning(self, tmp_path, capsys):
+    def test_portfolio_honours_kernel(self, tmp_path, capsys):
+        # --kernel must reach the portfolio entrants, not only the
+        # sequential path: every entrant's search span names its kernel.
         path = _write_instance(tmp_path, SEARCH_INSTANCE)
-        assert main(
-            ["solve", path, "--workers", "2", "--learning", "--metrics"]
-        ) == EXIT_OK
+        trace = tmp_path / "trace.jsonl"
+        assert main([
+            "solve", path, "--workers", "2", "--kernel", "reference",
+            "--metrics", "--trace", str(trace),
+        ]) == EXIT_OK
         out = capsys.readouterr().out
-        learned = re.search(r"conflict learning:\s+(\d+) nogoods learned", out)
-        assert learned is not None, out
-        assert int(learned.group(1)) > 0
+        assert re.search(r"portfolio:\s+\d+ entrant runs", out), out
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        kernels = [
+            r["attrs"]["kernel"] for r in records if r.get("name") == "search"
+        ]
+        assert kernels and set(kernels) == {"reference"}, kernels
 
     @pytest.mark.parametrize(
         "argv",

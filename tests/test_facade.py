@@ -258,7 +258,7 @@ class TestFacadeDeadline:
 
 
 class TestKernelFacade:
-    """The ``kernel=`` / ``learning=`` shorthand on ``repro.solve``."""
+    """The ``kernel=`` shorthand on ``repro.solve``."""
 
     def test_every_registered_kernel_solves_every_problem(self):
         from repro.core import available_kernels
@@ -316,16 +316,6 @@ class TestKernelFacade:
             repro.solve(boxes_of([(1, 1, 1)]), problem="bmp",
                         time_bound=1, kernel="warp")
 
-    def test_learning_kwarg_accepts_bool_and_options(self):
-        from repro.core import LearningOptions
-
-        boxes, dag = two_squares()
-        instance = PackingInstance(boxes, Container((2, 2, 2)), dag)
-        assert repro.solve(instance, learning=True).status == "sat"
-        assert repro.solve(
-            instance, learning=LearningOptions(enabled=True, restarts=False)
-        ).status == "sat"
-
     def test_kernel_override_reaches_portfolio_entrants(self):
         boxes, dag = two_squares()
         instance = PackingInstance(boxes, Container((2, 2, 2)), dag)
@@ -341,7 +331,6 @@ class TestPublicApiSnapshot:
             "solve",
             "PROBLEMS",
             "SolverOptions",
-            "LearningOptions",
             "OPPResult",
             "ResultCache",
             "PortfolioSolver",
@@ -407,7 +396,6 @@ class TestPublicApiSnapshot:
             "with_dependencies",
             "options",
             "kernel",
-            "learning",
             "workers",
             "backend",
             "cache",

@@ -16,11 +16,7 @@ several hundred seeded random instances:
 * node-count equality with symmetry breaking disabled *and* enabled,
 * chaos runs under a ``REPRO_FAULT_PLAN`` injection (both kernels must
   fault at the same node with the same recorded limit),
-* the conflict-learning matrix (learning on/off x symmetry breaking on/off
-  x restarts on/off): status and optimum equality always, node-count
-  equality asserted only with learning off (learning deliberately reshapes
-  the tree), and checkpoint kill/resume mid-restart round-tripping the
-  nogood store byte-identically.
+* checkpoint kill/resume across every ordered kernel pair.
 
 Instances are deliberately small (n <= 8) so the whole file stays in the
 tier-1 budget while still exercising every propagation rule.
@@ -33,7 +29,6 @@ import pytest
 
 from repro.core import (
     BranchAndBound,
-    LearningOptions,
     PropagationOptions,
     SolverOptions,
     available_kernels,
@@ -339,248 +334,45 @@ class TestChaosDifferential:
 
 
 class TestLearningDifferential:
-    """The learning matrix: answers never change, only the tree does.
-
-    Learning **on** is compared against the unlearned oracle for status and
-    optimum on every instance (and between kernels for full signatures —
-    the learner is deterministic, so both kernels learn the same clauses
-    and walk the same learned tree).  Node-count equality against the
-    unlearned oracle is asserted only for learning **off**, including the
-    "configured but disabled" case that pins ``LearningOptions()`` to zero
-    behavioral impact.
-    """
-
-    MATRIX = [
-        pytest.param(sym, restarts, id=f"sym_{sym}-restarts_{restarts}")
-        for sym in (False, True)
-        for restarts in (False, True)
-    ]
-
-    @pytest.mark.parametrize("sym,restarts", MATRIX)
-    def test_learning_preserves_status_across_matrix(self, sym, restarts):
-        # 4 x 30 = 120 instances.  restart_base=4 forces several restart
-        # rounds on any non-trivial tree, exercising the rollback-to-root
-        # path, clause persistence across rounds, and the final unbounded
-        # round's completeness.
-        rng = random.Random(6000 + 100 * sym + restarts)
-        propagation = PropagationOptions(symmetry_breaking=sym)
-        learning = LearningOptions(
-            enabled=True, restarts=restarts, restart_base=4, max_restarts=4
-        )
-        for _ in range(30):
-            inst = random_instance(
-                rng, container=(4, 4, 5), num_boxes=6, max_width=3,
-                precedence_density=0.3,
-            )
-            oracle = solve_opp(
-                inst,
-                options=_options(
-                    "reference", propagation=propagation, node_limit=20000
-                ),
-            )
-            learned = {
-                kernel: solve_opp(
-                    inst,
-                    options=_options(
-                        kernel, propagation=propagation, node_limit=20000,
-                        learning=learning,
-                    ),
-                )
-                for kernel in available_kernels()
-            }
-            learned_slow = learned["reference"]
-            assert oracle.status in ("sat", "unsat")
-            # Deterministic learner: every kernel learns identical
-            # clauses and explores the identical learned tree.
-            for learned_fast in learned.values():
-                assert learned_fast.status == oracle.status
-                assert _signature(learned_fast) == _signature(learned_slow)
-                assert (
-                    learned_fast.stats.nogoods_learned
-                    == learned_slow.stats.nogoods_learned
-                )
-                if restarts:
-                    assert (
-                        learned_fast.stats.restarts
-                        == learned_slow.stats.restarts
-                    )
-
-    @pytest.mark.parametrize("sym", [False, True], ids=["no_sym", "sym"])
-    def test_disabled_learning_is_node_identical_to_default(self, sym):
-        # 2 x 25 = 50 instances: LearningOptions() (present but disabled)
-        # must leave the tree bit-for-bit the default engine's tree on
-        # both kernels.
-        rng = random.Random(6600 + sym)
-        propagation = PropagationOptions(symmetry_breaking=sym)
-        for _ in range(25):
-            inst = random_instance(
-                rng, container=(4, 4, 5), num_boxes=6, max_width=3,
-                precedence_density=0.25,
-            )
-            default = solve_opp(
-                inst,
-                options=_options(
-                    "bitmask", propagation=propagation, node_limit=3000
-                ),
-            )
-            disabled = solve_opp(
-                inst,
-                options=_options(
-                    "bitmask", propagation=propagation, node_limit=3000,
-                    learning=LearningOptions(enabled=False),
-                ),
-            )
-            assert _signature(default) == _signature(disabled)
-            assert disabled.stats.nogoods_learned == 0
-            assert disabled.stats.restarts == 0
-            _assert_same_solve(
-                inst, propagation=propagation, node_limit=3000,
-                learning=LearningOptions(enabled=False),
-            )
-
-    def test_learned_rotation_solves_agree(self):
-        # 15 rotation instances: the learned solve must reach the oracle's
-        # verdict through the rotation-assignment sweep too.
-        rng = random.Random(808)
-        for _ in range(15):
-            inst = random_instance(
-                rng, container=(4, 4, 4), num_boxes=5, max_width=3,
-                precedence_density=0.2,
-            )
-            base = solve_opp_with_rotation(
-                inst, options=SolverOptions(node_limit=20000)
-            )
-            learned = solve_opp_with_rotation(
-                inst,
-                options=SolverOptions(
-                    node_limit=20000, learning=LearningOptions(enabled=True)
-                ),
-            )
-            assert learned.status == base.status
-
-    def test_learned_bmp_optima_agree(self):
-        rng = random.Random(2024)
-        for _ in range(10):
-            inst = random_instance(
-                rng, container=(4, 4, 3), num_boxes=5, max_width=3,
-                precedence_density=0.3,
-            )
-            results = {}
-            for learning in (
-                LearningOptions(),
-                LearningOptions(enabled=True, restart_base=4, max_restarts=3),
-            ):
-                results[learning.enabled] = minimize_base(
-                    inst.boxes,
-                    inst.precedence,
-                    time_bound=inst.container.sizes[inst.time_axis],
-                    options=SolverOptions(node_limit=20000, learning=learning),
-                    max_side=8,
-                )
-            assert results[True].status == results[False].status
-            assert results[True].optimum == results[False].optimum
-
-    def test_learned_spp_optima_agree(self):
-        rng = random.Random(2025)
-        for _ in range(10):
-            inst = random_instance(
-                rng, container=(4, 4, 4), num_boxes=5, max_width=3,
-                precedence_density=0.4,
-            )
-            results = {}
-            for learning in (
-                LearningOptions(),
-                LearningOptions(enabled=True, restart_base=4, max_restarts=3),
-            ):
-                results[learning.enabled] = minimize_makespan(
-                    inst.boxes,
-                    inst.precedence,
-                    chip=(inst.container.sizes[0], inst.container.sizes[1]),
-                    options=SolverOptions(node_limit=20000, learning=learning),
-                )
-            assert results[True].status == results[False].status
-            assert results[True].optimum == results[False].optimum
-
-    def _searchy_instance(self):
-        rng = random.Random(42)
-        insts = [
-            random_instance(
-                rng, container=(5, 5, 5), num_boxes=7, max_width=4,
-                precedence_density=0.3,
-            )
-            for _ in range(7)
-        ]
-        return insts[-1]
-
-    def test_checkpoint_mid_restart_roundtrips_store_byte_identically(self):
-        from repro.parallel.faults import FaultPlan
-
-        inst = self._searchy_instance()
-        learning = LearningOptions(
-            enabled=True, restart_base=2, max_restarts=6
-        )
-        interrupted = solve_opp(
-            inst,
-            options=_options(
-                "bitmask", learning=learning,
-                fault_plan=FaultPlan(raise_at_node=25),
-            ),
-        )
-        assert interrupted.status == "unknown"
-        checkpoint = interrupted.checkpoint
-        assert checkpoint is not None
-        # The interruption must have landed mid-schedule with clauses in
-        # hand, or this test is not exercising what it claims to.
-        assert checkpoint.restart_round > 0
-        assert checkpoint.nogoods and checkpoint.nogoods["nogoods"]
-        # Byte-identical round trip through the JSON wire format.
-        wire = json.dumps(checkpoint.to_dict(), sort_keys=True)
-        revived = SearchCheckpoint.from_dict(json.loads(wire))
-        assert json.dumps(revived.to_dict(), sort_keys=True) == wire
-        # And the revived checkpoint actually resumes to the right answer.
-        resumed = solve_opp(
-            inst,
-            options=_options("bitmask", learning=learning),
-            resume_from=revived,
-        )
-        clean = solve_opp(inst, options=_options("bitmask"))
-        assert resumed.status == clean.status
-        # The resumed search starts from the interrupted run's round, not
-        # from round zero.
-        assert resumed.stats.restarts + checkpoint.restart_round >= 0
+    """What is left of the learning matrix: the search no longer learns,
+    but journals may still hold checkpoints a learning run wrote."""
 
     def test_checkpoint_without_learning_refuses_mid_restart_resume(self):
         # A checkpoint taken mid-restart-schedule by a learning run was
-        # searched under its nogood store; replaying it into a learning-off
-        # solver would silently drop that restart context, so the resume
-        # refuses loudly with a structured CheckpointMismatch.  Re-enabling
-        # learning resumes soundly.
+        # searched under its nogood store; replaying it would silently
+        # drop that restart context, so loading the stored payload refuses
+        # loudly with a structured CheckpointMismatch.  The same payload
+        # at round 0 still resumes to the clean verdict.
         from repro.core.search import CheckpointMismatch
         from repro.parallel.faults import FaultPlan
 
-        inst = self._searchy_instance()
+        rng = random.Random(42)
+        for _ in range(7):
+            inst = random_instance(
+                rng, container=(5, 5, 5), num_boxes=7, max_width=4,
+                precedence_density=0.3,
+            )
         interrupted = solve_opp(
             inst,
             options=_options(
-                "bitmask",
-                learning=LearningOptions(enabled=True, restart_base=2),
-                fault_plan=FaultPlan(raise_at_node=25),
+                "bitmask", fault_plan=FaultPlan(raise_at_node=25)
             ),
         )
-        assert interrupted.checkpoint is not None
-        assert interrupted.checkpoint.restart_round > 0
-        with pytest.raises(CheckpointMismatch, match="restart"):
-            solve_opp(
-                inst, options=_options("bitmask"),
-                resume_from=interrupted.checkpoint,
-            )
+        stored = json.loads(json.dumps(interrupted.checkpoint.to_dict()))
+        stored["nogoods"] = {
+            "nogoods": [{"literals": [list(stored["decisions"][0])]}],
+            "activity_inc": 1.0,
+        }
+        with pytest.raises(CheckpointMismatch, match="restart") as excinfo:
+            SearchCheckpoint.from_dict({**stored, "restart_round": 3})
+        assert excinfo.value.restart_round == 3
+        assert excinfo.value.fingerprint == stored["fingerprint"]
         resumed = solve_opp(
             inst,
-            options=_options(
-                "bitmask",
-                learning=LearningOptions(enabled=True, restart_base=2),
+            options=_options("bitmask"),
+            resume_from=SearchCheckpoint.from_dict(
+                {**stored, "restart_round": 0}
             ),
-            resume_from=interrupted.checkpoint,
         )
         clean = solve_opp(inst, options=_options("bitmask"))
         assert resumed.status == clean.status
@@ -640,30 +432,6 @@ class TestCrossKernelCheckpoints:
             f"resume of a {origin} checkpoint is target-dependent: "
             f"{signatures}"
         )
-
-    @pytest.mark.parametrize("origin", available_kernels())
-    def test_learned_checkpoint_portable_across_kernels(self, origin):
-        # Same portability with the nogood store riding in the checkpoint:
-        # the deterministic learner makes the continuation identical on
-        # every kernel, packed matcher and scalar matcher alike.
-        inst = self._instance()
-        learning = LearningOptions(
-            enabled=True, restart_base=2, max_restarts=6
-        )
-        wire = self._interrupted_wire(inst, origin, learning=learning)
-        checkpoint = json.loads(wire)
-        assert checkpoint["nogoods"] and checkpoint["nogoods"]["nogoods"]
-        clean = solve_opp(inst, options=_options("reference"))
-        signatures = set()
-        for target in available_kernels():
-            revived = SearchCheckpoint.from_dict(json.loads(wire))
-            resumed = solve_opp(
-                inst, options=_options(target, learning=learning),
-                resume_from=revived,
-            )
-            assert resumed.status == clean.status
-            signatures.add(_signature(resumed))
-        assert len(signatures) == 1
 
 
 class TestPrecedenceWitnesses:

@@ -6,9 +6,9 @@ kernel consumer goes through — ``SolverOptions`` validation, the CLI's
 all resolve names here.  These tests pin the registry semantics
 (ordering, aliases, replacement, the auto-listing error), the
 :class:`~repro.core.kernels.EngineProtocol` contract every built-in
-satisfies, and the bitmask kernel's incrementally tracked flat pair
-state (it rides in word-parallel nogood matching, where a single
-flipped bit silently corrupts pruning).
+satisfies, and the bitmask kernel's incrementally tracked per-vertex
+masks (every propagation rule reads them, so a single flipped bit
+silently corrupts the search).
 """
 
 import random
@@ -156,22 +156,30 @@ class TestEngineProtocol:
 
 
 class TestPackedStateStability:
-    """The bitmask kernel's flat pair state is tracked incrementally once
-    armed; it must always equal the state rebuilt from the state arrays."""
+    """The bitmask kernel's packed state — per-vertex component and
+    comparability masks — is tracked incrementally across assignments and
+    rollbacks; it must always equal the masks rebuilt from the state
+    arrays."""
+
+    @staticmethod
+    def _packed(model):
+        return [
+            (model.component_masks(axis), model.comparability_masks(axis))
+            for axis in range(model.d)
+        ]
 
     @staticmethod
     def _rebuilt(model):
-        pair_bit, _ = model.pair_tables()
-        comp = cmpb = 0
+        packed = []
         for axis in range(model.d):
+            masks = {COMPONENT: [0] * model.n, COMPARABILITY: [0] * model.n}
             for u in range(model.n):
-                for v in range(u + 1, model.n):
+                for v in range(model.n):
                     st = model.state[axis][u][v]
-                    if st == COMPONENT:
-                        comp |= pair_bit[axis][u][v]
-                    elif st == COMPARABILITY:
-                        cmpb |= pair_bit[axis][u][v]
-        return comp, cmpb
+                    if st in masks:
+                        masks[st][u] |= 1 << v
+            packed.append((masks[COMPONENT], masks[COMPARABILITY]))
+        return packed
 
     def test_live_engine_state_matches_codec(self):
         from repro.instances.random_instances import random_instance
@@ -188,7 +196,7 @@ class TestPackedStateStability:
                 model.seed()
             except Conflict:
                 continue  # root-infeasible: nothing to assign
-            assert model.packed_pair_state() == self._rebuilt(model)
+            assert self._packed(model) == self._rebuilt(model)
             marks = []
             for _ in range(12):
                 open_pairs = list(model.undecided())
@@ -203,8 +211,8 @@ class TestPackedStateStability:
                 except Conflict:
                     model.rollback(marks.pop())
                 moves += 1
-                assert model.packed_pair_state() == self._rebuilt(model)
+                assert self._packed(model) == self._rebuilt(model)
             while marks:
                 model.rollback(marks.pop())
-                assert model.packed_pair_state() == self._rebuilt(model)
+                assert self._packed(model) == self._rebuilt(model)
         assert moves > 0, "every instance was root-infeasible — dead test"

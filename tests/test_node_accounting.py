@@ -26,7 +26,7 @@ from dataclasses import fields
 
 import pytest
 
-from repro.core import BranchAndBound, LearningOptions, SolverOptions, solve_opp
+from repro.core import BranchAndBound, SolverOptions, solve_opp
 from repro.core.bmp import _ProbeRunner
 from repro.core.deadline import Deadline
 from repro.core.kernels import available
@@ -108,58 +108,6 @@ class TestSerialAgreement:
         assert result.checkpoint.nodes == result.stats.nodes
 
 
-class TestRestartAdditivity:
-    """Restarts must accumulate every counter, never reset one.
-
-    The historical bug class: a restart rolls the *model* back to the root,
-    and any counter tied to model state (``PropagationStats``) silently
-    starts over while the search-side counters keep climbing — the two
-    ledgers drift apart.  These tests force many restart rounds and assert
-    the ledgers still reconcile exactly.
-    """
-
-    def _forced_restart_solver(self, kernel="bitmask", telemetry=None):
-        return BranchAndBound(
-            _searchy_instance(),
-            kernel=kernel,
-            telemetry=telemetry,
-            learning=LearningOptions(
-                enabled=True, restart_base=2, max_restarts=5
-            ),
-        )
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_propagation_counters_accumulate_across_restarts(self, kernel):
-        solver = self._forced_restart_solver(kernel=kernel)
-        solver.solve()
-        assert solver.stats.restarts > 0, "schedule never fired — dead test"
-        # nodes_entered lives on PropagationStats; were it reset by the
-        # restart rollback, it would land far below the search's counter.
-        assert solver.model.stats.nodes_entered == solver.stats.nodes
-
-    def test_telemetry_sees_cumulative_restart_counters(self):
-        telemetry = Telemetry()
-        solver = self._forced_restart_solver(telemetry=telemetry)
-        solver.solve()
-        assert solver.stats.restarts > 0
-        assert telemetry.counter("search.nodes").value == solver.stats.nodes
-        assert (
-            telemetry.counter("learning.restarts").value
-            == solver.stats.restarts
-        )
-        assert (
-            telemetry.counter("learning.nogoods_learned").value
-            == solver.stats.nogoods_learned
-        )
-
-    def test_restarted_solve_still_conclusive(self):
-        solver = self._forced_restart_solver()
-        status, placement = solver.solve()
-        assert status in ("sat", "unsat")
-        if status == "sat":
-            assert placement.is_feasible()
-
-
 class TestBudgetedResumeCarry:
     """The ``_ProbeRunner`` carry path: slices must sum, not drift."""
 
@@ -196,14 +144,12 @@ class TestBudgetedResumeCarry:
     COUNTERS = (
         "nodes", "conflicts", "leaves", "leaf_failures",
         "propagated_states", "propagated_arcs", "faults",
-        "restarts", "nogoods_learned", "nogood_prunes",
-        "nogood_forcings", "nogoods_evicted",
     )
 
     def test_carry_accumulates_every_counter(self):
         # The historical bug: only ``nodes`` was carried across resume
-        # slices — conflicts, leaves, propagation work (and now the
-        # learning counters) silently reset each slice.  Reconstruct the
+        # slices — conflicts, leaves and propagation work silently reset
+        # each slice.  Reconstruct the
         # runner's slice sequence by hand with plain resumed solves and
         # assert the carried result equals the exact field-wise sum.
         runner, opp = self._stuck_probe()
@@ -267,51 +213,3 @@ class TestPortfolioBackends:
         assert result.stats.nodes == per_entrant
         assert telemetry.counter("search.nodes").value == result.stats.nodes
         assert result.stats.nodes > 0
-
-    @staticmethod
-    def _learning_configs():
-        learning = LearningOptions(
-            enabled=True, restart_base=2, max_restarts=4
-        )
-        return [
-            PortfolioConfig(
-                "learned-guided",
-                SolverOptions(learning=learning, **SEARCH_ONLY),
-            ),
-            PortfolioConfig(
-                "learned-static",
-                SolverOptions(
-                    learning=learning,
-                    branching=BranchingOptions(strategy="static"),
-                    **SEARCH_ONLY,
-                ),
-            ),
-        ]
-
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_learning_counters_reconcile(self, backend):
-        # The learning counters must survive the same three journeys the
-        # node counter does: per-entrant stats, the merged portfolio
-        # stats, and the merged telemetry — across every backend (for the
-        # process backend that includes a pickle round trip).
-        telemetry = Telemetry()
-        with PortfolioSolver(
-            configs=self._learning_configs(), workers=2, backend=backend,
-            telemetry=telemetry,
-        ) as solver:
-            result = solver.solve(_searchy_instance())
-        assert result.status == "sat"
-        for name in (
-            "restarts", "nogoods_learned", "nogood_prunes",
-            "nogood_forcings", "nogoods_evicted",
-        ):
-            per_entrant = sum(
-                getattr(s, name) for s in result.per_config.values()
-            )
-            assert getattr(result.stats, name) == per_entrant, name
-        merged = telemetry.counter("learning.nogoods_learned").value
-        assert merged == result.stats.nogoods_learned
-        assert (
-            telemetry.counter("learning.restarts").value
-            == result.stats.restarts
-        )

@@ -481,6 +481,27 @@ class TestHealthAndReady:
                 for ticket in tickets:
                     st.service.admission.release(ticket)
 
+    def test_brownout_ladder_rungs(self, tmp_path, monkeypatch):
+        # Load 0.6 / 0.8 / 0.95 of capacity lands on rungs 0 / 1 / 2: full
+        # service, then the 0.5 s solve clip, then the 20k node cap on top.
+        rungs = [
+            (12, 0, None, None),
+            (16, 1, 0.5, None),
+            (19, 2, 0.5, 20_000),
+        ]
+        with ServiceThread(tmp_path, queue_capacity=20) as st:
+            for in_flight, level, time_limit, node_limit in rungs:
+                monkeypatch.setattr(
+                    st.service.admission, "in_flight", in_flight
+                )
+                options = st.service._solver_options(None, None)
+                assert (options.time_limit, options.node_limit) == (
+                    time_limit, node_limit,
+                ), in_flight
+                status, body, _ = request_json(st.port, "GET", "/v1/ready")
+                assert status == 200
+                assert body["brownout"] == level, in_flight
+
     def test_status_reports_brownout_level(self, tmp_path):
         with ServiceThread(tmp_path) as st:
             body = request_json(st.port, "GET", "/v1/status")[1]

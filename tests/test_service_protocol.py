@@ -74,7 +74,6 @@ def solve_requests(draw):
         instance=draw(instances()),
         tenant=draw(tenants),
         kernel=draw(kernels),
-        learning=draw(st.booleans()),
         time_limit=draw(time_limits),
         wait=draw(st.booleans()),
     )
@@ -95,7 +94,6 @@ def batch_requests(draw):
         entries=entries,
         tenant=draw(tenants),
         kernel=draw(kernels),
-        learning=draw(st.booleans()),
         wait=draw(st.booleans()),
     )
 
@@ -193,7 +191,6 @@ _SOLVE_MUTATIONS = _MUTATIONS + [
     lambda d: {**d, "instance": 42},
     lambda d: {**d, "instance": {"boxes": "nope"}},
     lambda d: {**d, "kernel": "warp-drive"},
-    lambda d: {**d, "learning": "maybe"},
     lambda d: {**d, "time_limit": -1},
     lambda d: {**d, "time_limit": True},
     lambda d: {**d, "time_limit": "fast"},
@@ -275,3 +272,23 @@ class TestMalformed:
             )
         fields = {e["field"] for e in excinfo.value.errors}
         assert {"tenant", "learning", "wait", "instance"} <= fields
+
+    @pytest.mark.parametrize("value", [False, True])
+    def test_learning_is_an_unknown_field(self, value):
+        # The search no longer learns; a body that still asks either way
+        # gets the structured 400, not a silent ignore.
+        instance = make_instance([(1, 1, 1)], (1, 1, 1))
+        requests = [
+            (SolveRequest(instance=instance), SolveRequest.from_dict),
+            (
+                BatchRequest(entries=(ManifestEntry("a", instance),)),
+                BatchRequest.from_dict,
+            ),
+        ]
+        for request, decode in requests:
+            with pytest.raises(ProtocolError) as excinfo:
+                decode({**request.to_dict(), "learning": value})
+            assert excinfo.value.errors == [
+                {"field": "learning", "reason": "unknown field"}
+            ]
+            assert excinfo.value.body()["error"]["status"] == 400
