@@ -201,11 +201,17 @@ class JobStore:
                 continue
             data = record["data"]
             if record["kind"] == "submitted":
+                request = dict(data.get("request", {}))
+                # Journals written while the wire had a ``learning``
+                # switch store it in every request.  Learning never
+                # changed an answer and the search no longer has it, so
+                # the resumed job runs without the retired field.
+                request.pop("learning", None)
                 self.jobs[job_id] = Job(
                     job_id=job_id,
                     kind=data.get("kind", "solve"),
                     tenant=data.get("tenant", "public"),
-                    request=data.get("request", {}),
+                    request=request,
                     replayed=True,
                 )
             elif record["kind"] == "running" and job_id in self.jobs:

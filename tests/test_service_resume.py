@@ -30,11 +30,16 @@ import time
 
 import pytest
 
-from repro.io.journal import JOURNAL_NAME, TERMINAL_KINDS, read_journal
+from repro.io.journal import (
+    JOURNAL_NAME,
+    TERMINAL_KINDS,
+    JournalWriter,
+    read_journal,
+)
 from repro.io.serialize import instance_to_dict
 from repro.runtime import ManifestEntry, run_batch
 from repro.service.jobs import JOB_RECORD_KINDS, JOB_TERMINAL_KINDS, SERVICE_JOURNAL
-from repro.service.protocol import dumps_canonical
+from repro.service.protocol import BatchRequest, SolveRequest, dumps_canonical
 from tests._service_helpers import (
     journaled_status_body,
     request_bytes,
@@ -281,6 +286,45 @@ class TestTerminalReplay:
         stdout, stderr = proc.communicate(timeout=60)
         assert proc.returncode == 4, (stdout, stderr)
         assert b"--resume" in stderr
+
+
+class TestLegacyJournal:
+    def test_unfinished_jobs_with_learning_field_resume(self, tmp_path):
+        """A daemon from before the ``learning`` wire field was retired
+        journaled it (as ``false``) in every request; its unfinished solve
+        and batch jobs still run to ``done`` on ``--resume``."""
+        solve = SolveRequest.from_dict(solve_payload(small_instance()))
+        batch = BatchRequest.from_dict(
+            {"entries": _batch_payload()["entries"][:2]}
+        )
+        state = tmp_path / "state"
+        state.mkdir()
+        with JournalWriter(
+            str(state / SERVICE_JOURNAL), fsync=False, kinds=JOB_RECORD_KINDS
+        ) as writer:
+            writer.append("service-start", data={"resumed": False, "pending": 0})
+            for job, request in (("job-000001", solve), ("job-000002", batch)):
+                wire = dict(request.to_dict(), learning=False)
+                writer.append(
+                    "submitted", job,
+                    {"kind": wire["kind"], "tenant": "public", "request": wire},
+                )
+
+        proc = spawn_serve(state, "--resume")
+        try:
+            port = wait_for_port(proc)
+            solved = _wait_terminal(port, "job-000001")
+            assert solved["state"] == "done", solved
+            assert solved["response"]["answer"]["status"] == "sat"
+            batched = _wait_terminal(port, "job-000002")
+            assert batched["state"] == "done", batched
+            assert batched["response"]["counts"]["done"] == 2
+            code, stderr = _shutdown(proc, port)
+            assert code == 0, stderr.decode()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=60)
 
 
 class TestSigtermGraceful:
