@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -18,7 +19,6 @@ from typing import List, Optional, Sequence, Tuple
 from ..graphs.cliques import max_weight_clique
 from ..graphs.graph import Graph
 from .boxes import PackingInstance
-from .dff import DFF, default_family
 
 
 def oversized_box_bound(instance: PackingInstance) -> Optional[str]:
@@ -51,72 +51,143 @@ def dff_volume_bound(
 
     Applies per-axis dual feasible functions to the normalized widths; any
     combination whose transformed volume exceeds 1 disproves the packing.
-    To keep the root-node cost bounded, at most ``max_combinations``
-    combinations are evaluated (nontrivial DFFs on at most two axes at a
-    time, which is where the power of the family lives).
+    A combination puts nontrivial members on at most two axes (which is
+    where the power of the family lives) and the identity elsewhere: every
+    axis pair in order, then every single axis.  To keep the root-node cost
+    bounded, only the first ``max_combinations`` positions of that order
+    are evaluated, counting every combination.  Members with equal rows
+    give combinations with equal sums, so each distinct tuple of rows is
+    summed once, at its first position; the certificate names the first
+    refuting combination all the same.
     """
     d = instance.dimensions
+    sizes = instance.container.sizes
+    weights = Counter(box.widths for box in instance.boxes)
+    vectors = list(weights)
     tables = [
-        _dff_table(instance.widths_along(axis), instance.container.sizes[axis])
-        for axis in range(d)
+        _dff_table([v[axis] for v in vectors], sizes[axis]) for axis in range(d)
     ]
-    families = [family for family, _, _ in tables]
-    identity_index = 0
-
-    combos = []
-    for axes in itertools.combinations(range(d), 2):
-        for fa in range(len(families[axes[0]])):
-            for fb in range(len(families[axes[1]])):
-                combo = [identity_index] * d
-                combo[axes[0]] = fa
-                combo[axes[1]] = fb
-                combos.append(tuple(combo))
-    for axis in range(d):
-        for fa in range(len(families[axis])):
-            combo = [identity_index] * d
-            combo[axis] = fa
-            combos.append(tuple(combo))
+    distinct = [_distinct_rows(rows) for _, rows, _ in tables]
     one = math.prod(den for _, _, den in tables)
     seen = set()
-    for combo in combos[:max_combinations]:
-        if combo in seen:
-            continue
-        seen.add(combo)
-        products = tables[0][1][combo[0]]
-        for axis in range(1, d):
-            products = map(mul, products, tables[axis][1][combo[axis]])
-        scaled = sum(products)
-        if scaled > one:
-            names = [families[axis][combo[axis]].__name__ for axis in range(d)]
-            return (
-                f"DFF volume bound exceeded: combination {names} gives "
-                f"transformed volume {Fraction(scaled, one)} > 1"
-            )
+    start = 0  # position of the block's first combination
+    for axes in [*itertools.combinations(range(d), 2), *((a,) for a in range(d))]:
+        if start >= max_combinations:
+            break
+        a, b = axes[0], axes[-1]  # b == a on a single axis
+        pair = a != b
+        stride = len(tables[b][1]) if pair else 1
+        # Boxes with equal widths weigh in once, times their count; the
+        # axes outside the block contribute their identity rows.
+        base = list(weights.values())
+        for axis in range(d):
+            if axis not in axes:
+                base = list(map(mul, base, tables[axis][1][0]))
+        for fa in distinct[a]:
+            if start + fa * stride >= max_combinations:
+                break
+            row = list(map(mul, base, tables[a][1][fa]))
+            for fb in distinct[b] if pair else (0,):
+                if start + fa * stride + fb >= max_combinations:
+                    break
+                if fa == 0 or fb == 0:
+                    # Only a combination with an identity row recurs in
+                    # a later block.
+                    combo = _combination(d, a, fa, b, fb)
+                    if combo in seen:
+                        continue
+                    seen.add(combo)
+                scaled = sum(map(mul, row, tables[b][1][fb])) if pair else sum(row)
+                if scaled > one:
+                    combo = _combination(d, a, fa, b, fb)
+                    names = [
+                        _member_name(combo[axis], tables[axis][0], sizes[axis])
+                        for axis in range(d)
+                    ]
+                    return (
+                        f"DFF volume bound exceeded: combination {names} gives "
+                        f"transformed volume {Fraction(scaled, one)} > 1"
+                    )
+        start += len(tables[a][1]) * stride
     return None
+
+
+def _combination(d: int, a: int, fa: int, b: int, fb: int) -> Tuple[int, ...]:
+    """Member ``fa`` on axis ``a``, ``fb`` on axis ``b`` and the identity
+    elsewhere (``fa`` wins when ``a == b``)."""
+    combo = [0] * d
+    combo[b] = fb
+    combo[a] = fa
+    return tuple(combo)
 
 
 def _dff_table(
     widths: Sequence[int], size: int
-) -> Tuple[List[DFF], List[List[int]], int]:
+) -> Tuple[List[int], List[List[int]], int]:
     """One axis of a DFF bound in exact integers.
 
-    Returns the DFF family of the normalized widths ``x_b = widths[b] /
-    size``, one row of scaled images per member, and their common
-    denominator ``den``: ``rows[f][b] / den == family[f](x_b)``.  Each
-    member is applied once per distinct width, and a combination's
-    transformed volume becomes an integer sum of products over the rows,
-    compared against the product of the axes' denominators.
+    The members of :func:`repro.core.dff.default_family` on the normalized
+    widths ``x_b = widths[b] / size``, in the family's order, as closed
+    forms over the common denominator ``den = 12·size``:
+
+    * identity: ``12·w``;
+    * ``u_k``, k = 1..4: ``12·w`` if ``size`` divides ``w·(k+1)``, else
+      ``⌊w·(k+1)/size⌋ · den/k``;
+    * ``f0_e`` for each distinct width ``e`` with ``0 < 2e ≤ size``, in
+      first-appearance order: ``den`` if ``w > size − e``, ``0`` if
+      ``w < e``, else ``12·w``;
+    * ``u_1∘f0_e`` and ``u_2∘f0_e`` for the first three thresholds: the
+      staircase applied to the ``f0_e`` image.
+
+    Returns the thresholds ``e`` (which name the members, see
+    :func:`_member_name`), one row per member with ``rows[f][b] / den``
+    the image of ``x_b``, and ``den``.
     """
-    values = [Fraction(w, size) for w in widths]
-    family = default_family(values)
-    distinct = set(values)
-    images = [{x: f(x) for x in distinct} for f in family]
-    den = math.lcm(*(y.denominator for image in images for y in image.values()))
-    rows = []
-    for image in images:
-        scaled = {x: y.numerator * den // y.denominator for x, y in image.items()}
-        rows.append([scaled[x] for x in values])
-    return family, rows, den
+    den = 12 * size
+    distinct = list(dict.fromkeys(widths))
+    thresholds = [e for e in distinct if 0 < 2 * e <= size]
+    identity = {w: 12 * w for w in distinct}
+    cuts = [
+        {w: den if w > size - e else 0 if w < e else y for w, y in identity.items()}
+        for e in thresholds
+    ]
+    images = [identity]
+    images += [_staircase(identity, k, den) for k in range(1, 5)]
+    images += cuts
+    images += [_staircase(cut, k, den) for cut in cuts[:3] for k in (1, 2)]
+    return thresholds, [[image[w] for w in widths] for image in images], den
+
+
+def _staircase(image: dict, k: int, den: int) -> dict:
+    """``u_k`` on images ``y / den``: ``y`` if ``y·(k+1)/den`` is
+    integral, else ``⌊y·(k+1)/den⌋ · den/k``."""
+    step = den // k
+    return {
+        w: y if y * (k + 1) % den == 0 else y * (k + 1) // den * step
+        for w, y in image.items()
+    }
+
+
+def _member_name(index: int, thresholds: List[int], size: int) -> str:
+    """The name of member ``index`` of an axis's :func:`_dff_table`, as
+    :func:`repro.core.dff.default_family` names it."""
+    if index == 0:
+        return "identity"
+    if index <= 4:
+        return f"u_{index}"
+    index -= 5
+    if index < len(thresholds):
+        return f"f0_{Fraction(thresholds[index], size)}"
+    index -= len(thresholds)
+    return f"u_{1 + index % 2}∘f0_{Fraction(thresholds[index // 2], size)}"
+
+
+def _distinct_rows(rows: List[List[int]]) -> List[int]:
+    """The members whose row differs from every earlier member's row."""
+    first: dict = {}
+    for f, row in enumerate(rows):
+        first.setdefault(tuple(row), f)
+    return list(first.values())
 
 
 def critical_path_bound(instance: PackingInstance) -> Optional[str]:
@@ -308,24 +379,29 @@ def _cross_section(instance: PackingInstance, v: int, time_axis: int) -> int:
 def _spatial_dff_overflow(
     instance: PackingInstance, live: List[int], spatial_axes: List[int]
 ) -> Optional[str]:
-    """2-D DFF volume argument over a set of simultaneously live boxes."""
+    """2-D DFF volume argument over a set of simultaneously live boxes.
+
+    Every pair of members is a candidate; as in :func:`dff_volume_bound`,
+    only the first member of each distinct row is tried on either axis.
+    """
     ax0, ax1 = spatial_axes[0], spatial_axes[-1]
-    tables = {
-        axis: _dff_table(
-            [instance.boxes[v].widths[axis] for v in live],
-            instance.container.sizes[axis],
-        )
-        for axis in (ax0, ax1)
-    }
-    family0, rows0, den0 = tables[ax0]
-    family1, rows1, den1 = tables[ax1]
+    sizes = instance.container.sizes
+    weights = Counter(
+        (instance.boxes[v].widths[ax0], instance.boxes[v].widths[ax1])
+        for v in live
+    )
+    thresholds0, rows0, den0 = _dff_table([w for w, _ in weights], sizes[ax0])
+    thresholds1, rows1, den1 = _dff_table([w for _, w in weights], sizes[ax1])
     one = den0 * den1
-    for f, row_f in zip(family0, rows0):
-        for g, row_g in zip(family1, rows1):
-            scaled = sum(map(mul, row_f, row_g))
+    distinct1 = _distinct_rows(rows1)
+    for f in _distinct_rows(rows0):
+        row = list(map(mul, weights.values(), rows0[f]))
+        for g in distinct1:
+            scaled = sum(map(mul, row, rows1[g]))
             if scaled > one:
                 return (
-                    f"2-D DFF bound ({f.__name__}, {g.__name__}) gives "
+                    f"2-D DFF bound ({_member_name(f, thresholds0, sizes[ax0])}, "
+                    f"{_member_name(g, thresholds1, sizes[ax1])}) gives "
                     f"transformed area {Fraction(scaled, one)} > 1"
                 )
     return None

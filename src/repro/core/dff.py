@@ -1,4 +1,4 @@
-"""Dual feasible functions (DFFs) for packing lower bounds.
+"""Dual feasible functions (DFFs) for packing lower bounds: the reference.
 
 A function ``f : [0,1] → [0,1]`` is *dual feasible* if for every finite set
 ``S`` of non-negative reals with ``Σ S ≤ 1`` also ``Σ f(S) ≤ 1``.  The
@@ -11,8 +11,11 @@ if the boxes fit the container, then for any DFFs ``f_1, …, f_d``
 Any combination exceeding 1 *disproves* the packing without any search —
 stage 1 of the paper's three-stage framework.
 
-All arithmetic is exact (:class:`fractions.Fraction`); widths and container
-sizes are integers, so no rounding can make a bound unsound.
+This module states the family as exact :class:`fractions.Fraction`
+closures, the way the theory defines it.  It is off the hot path: the
+bounds in :mod:`repro.core.bounds` evaluate :func:`default_family` in
+closed form on integers, and ``tests/test_core_bounds.py`` holds those
+closed forms to the closures here, member by member and name by name.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Unit tests for the lower-bound machinery and dual feasible functions."""
 
+import ast
 import itertools
 import random
 from fractions import Fraction
@@ -75,6 +76,44 @@ class TestDFFs:
             return min(Fraction(1), x * 2)
 
         assert not is_dual_feasible_on_samples(cheat, denominator=8)
+
+
+def _check_table(widths, size):
+    """Every row entry of ``_dff_table`` over its denominator is the image
+    of the matching ``default_family`` member, and the names agree."""
+    thresholds, rows, den = bounds._dff_table(widths, size)
+    family = default_family([Fraction(w, size) for w in widths])
+    assert len(rows) == len(family)
+    for index, (member, row) in enumerate(zip(family, rows)):
+        assert bounds._member_name(index, thresholds, size) == member.__name__
+        assert [Fraction(y, den) for y in row] == [
+            member(Fraction(w, size)) for w in widths
+        ], (size, member.__name__)
+    return len(thresholds)
+
+
+class TestClosedFormDFFTable:
+    """``bounds._dff_table`` evaluates ``default_family`` in closed form on
+    integers; ``core/dff.py`` is the reference it is held to."""
+
+    def test_every_width_of_every_size_up_to_64(self):
+        for size in range(1, 65):
+            ascending = list(range(1, size + 1))
+            assert _check_table(ascending, size) == size // 2
+            # Descending order composes the three largest thresholds.
+            _check_table(ascending[::-1], size)
+
+    def test_repeated_and_shuffled_thresholds(self):
+        rng = random.Random(5)
+        for size in (9, 12, 30, 64):
+            widths = [rng.randint(1, size) for _ in range(3 * size)]
+            assert len({w for w in widths if 2 * w <= size}) > 3
+            _check_table(widths, size)
+
+    def test_widths_beyond_the_container(self):
+        # Reached when the oversized-box bound is disabled.
+        for size in range(1, 17):
+            _check_table([1, size, size + 1, 2 * size + 1, 3 * size], size)
 
 
 class TestSimpleBounds:
@@ -191,6 +230,26 @@ class TestProveInfeasible:
 # -- integer DFF kernel vs. the Fraction loops it replaced -------------------
 
 
+def _reference_combinations(counts):
+    """The combination order of :func:`dff_volume_bound` over axes with
+    ``counts[axis]`` members: every axis pair, then every single axis."""
+    d = len(counts)
+    combos = []
+    for axes in itertools.combinations(range(d), 2):
+        for fa in range(counts[axes[0]]):
+            for fb in range(counts[axes[1]]):
+                combo = [0] * d
+                combo[axes[0]] = fa
+                combo[axes[1]] = fb
+                combos.append(tuple(combo))
+    for axis in range(d):
+        for fa in range(counts[axis]):
+            combo = [0] * d
+            combo[axis] = fa
+            combos.append(tuple(combo))
+    return combos
+
+
 def _reference_dff_volume_bound(instance, max_combinations=2000):
     """The original ``Fraction`` evaluation of :func:`dff_volume_bound`."""
     d = instance.dimensions
@@ -202,19 +261,7 @@ def _reference_dff_volume_bound(instance, max_combinations=2000):
         for axis in range(d)
     ]
     families = [default_family(normalized[axis]) for axis in range(d)]
-    combos = []
-    for axes in itertools.combinations(range(d), 2):
-        for fa in range(len(families[axes[0]])):
-            for fb in range(len(families[axes[1]])):
-                combo = [0] * d
-                combo[axes[0]] = fa
-                combo[axes[1]] = fb
-                combos.append(tuple(combo))
-    for axis in range(d):
-        for fa in range(len(families[axis])):
-            combo = [0] * d
-            combo[axis] = fa
-            combos.append(tuple(combo))
+    combos = _reference_combinations([len(family) for family in families])
     seen = set()
     for combo in combos[:max_combinations]:
         if combo in seen:
@@ -324,6 +371,93 @@ class TestIntegerDFFKernel:
         # With one spatial axis the footprint check subsumes the DFF
         # argument (g <= 1, so sum f(x) g(x) <= sum f(x) <= 1).
         assert any(spatial_proofs) or d == 2
+
+    @pytest.mark.parametrize(
+        "widths, container",
+        [
+            # Axis 0 sits at half the chip, where all eight members have
+            # the identity's row: the (0, 1) and (0, 2) blocks before the
+            # refuting (1, 2) pair are duplicates.
+            ([(6, 7, 7)] * 3, (12, 12, 12)),
+            # Members with the row of an earlier member precede the
+            # refuting f0 and u_k∘f0 members on their axes.
+            (
+                [(1, 7, 10), (1, 1, 2), (2, 14, 16), (1, 13, 17), (4, 10, 5)],
+                (4, 15, 20),
+            ),
+            ([(6, 11, 10), (7, 11, 13), (9, 7, 7)], (15, 15, 16)),
+        ],
+    )
+    def test_duplicate_rows_before_the_refuting_combination(
+        self, widths, container
+    ):
+        instance = make_instance(widths, container)
+        expected = _reference_dff_volume_bound(instance)
+        assert expected is not None
+        assert dff_volume_bound(instance) == expected
+        names = ast.literal_eval(
+            expected.split("combination ")[1].split(" gives")[0]
+        )
+        tables = [
+            bounds._dff_table(instance.widths_along(axis), size)
+            for axis, size in enumerate(container)
+        ]
+        combos = _reference_combinations([len(rows) for _, rows, _ in tables])
+        refuting = combos.index(tuple(
+            [
+                bounds._member_name(f, thresholds, size)
+                for f in range(len(rows))
+            ].index(name)
+            for (thresholds, rows, _), size, name in zip(tables, container, names)
+        ))
+        before = set(combos[:refuting])
+        row_tuples = {
+            tuple(tuple(rows[f]) for (_, rows, _), f in zip(tables, combo))
+            for combo in before
+        }
+        assert len(row_tuples) < len(before)
+
+    def test_cap_counts_combinations_not_distinct_rows(self):
+        # Axis 1 sits at half the chip, so all its 8 members share the
+        # identity's row, and the (0, 1) block repeats each axis-0 member
+        # eight times.  Its 8 * 251 = 2008 positions fill the cap with 251
+        # distinct row tuples; the refuting (identity, identity, u_1) lies
+        # at position 2009.  A cap on distinct tuples would reach it.
+        widths = [(512, 1, 513)] * 3 + [(e, 1, 1) for e in range(1, 241)]
+        instance = make_instance(widths, (512, 2, 1024))
+        assert dff_volume_bound(instance) is None
+        assert dff_volume_bound(instance, max_combinations=2010) == (
+            "DFF volume bound exceeded: combination ['identity', "
+            "'identity', 'u_1'] gives transformed volume 3/2 > 1"
+        )
+        assert dff_volume_bound(instance, max_combinations=2009) is None
+
+    @pytest.mark.parametrize("cap", [100, 168, 169, 170, 10**6])
+    def test_small_cap_counts_combinations_like_the_reference(self, cap):
+        # The same shape with 21 members on axis 0: the (0, 1) block holds
+        # positions 0..167 and the refuting combination is position 169.
+        widths = [(64, 1, 513)] * 3 + [(e, 1, 1) for e in range(1, 11)]
+        instance = make_instance(widths, (64, 2, 1024))
+        expected = _reference_dff_volume_bound(instance, max_combinations=cap)
+        assert (expected is None) == (cap <= 169)
+        assert dff_volume_bound(instance, max_combinations=cap) == expected
+
+    def test_spatial_overflow_with_duplicate_rows_on_both_axes(self):
+        instance = make_instance(
+            [(3, 3, 1), (3, 3, 1), (3, 3, 1), (4, 4, 1), (3, 3, 1), (1, 2, 1)],
+            (8, 8, 3),
+        )
+        for axis in (0, 1):
+            _, rows, _ = bounds._dff_table(instance.widths_along(axis), 8)
+            assert len(bounds._distinct_rows(rows)) < len(rows)
+        for live in ([0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4], [0, 3, 4], [5, 3, 0, 1, 2]):
+            expected = _reference_spatial_dff_overflow(instance, live, [0, 1])
+            assert bounds._spatial_dff_overflow(instance, live, [0, 1]) == (
+                expected
+            )
+        assert bounds._spatial_dff_overflow(
+            instance, [0, 1, 2, 3, 4], [0, 1]
+        ) == "2-D DFF bound (u_2, u_2) gives transformed area 5/4 > 1"
 
     def test_combination_cap_truncates_identically(self):
         # Three boxes over half the chip on axes 1 and 2 are only refuted
