@@ -274,9 +274,12 @@ def probe_instance(
     BMP squares (``width == height``), free-aspect rectangles, and the SPP
     makespan probes all build their containers here, so caching keys and
     telemetry instrument one canonical path instead of per-driver copies.
+
+    ``boxes`` is shared, not copied: each public sweep copies the caller's
+    list once, and every probe and witness of that sweep holds the copy.
     """
     return PackingInstance(
-        list(boxes), Container((width, height, time_bound)), precedence
+        boxes, Container((width, height, time_bound)), precedence
     )
 
 
@@ -302,7 +305,6 @@ def minimize_area(
     opp_solver: Optional[OppSolver] = None,
     deadline: Optional[Deadline] = None,
     telemetry: Optional[object] = None,
-    _runner: Optional[_ProbeRunner] = None,
 ) -> "AreaResult":
     """Free-aspect chip minimization: the rectangle ``w × h`` of smallest
     *area* (ties broken toward square) accommodating the tasks within the
@@ -320,7 +322,7 @@ def minimize_area(
     ``telemetry`` records the sweep under a ``solve`` span (one ``probe``
     child per OPP decision).
     """
-    runner = _runner or _ProbeRunner(
+    runner = _ProbeRunner(
         options=options, cache=cache, opp_solver=opp_solver,
         deadline=deadline, telemetry=telemetry,
     )
@@ -328,7 +330,7 @@ def minimize_area(
     with telemetry.span(
         "solve", problem="area", boxes=len(boxes), time_bound=time_bound
     ) as span:
-        result = _minimize_area(boxes, precedence, time_bound, runner)
+        result = _minimize_area(list(boxes), precedence, time_bound, runner)
         span.set(
             status=result.status, area=result.area, probes=len(result.probes)
         )
@@ -474,7 +476,6 @@ def minimize_base(
     opp_solver: Optional[OppSolver] = None,
     deadline: Optional[Deadline] = None,
     telemetry: Optional[object] = None,
-    _runner: Optional[_ProbeRunner] = None,
 ) -> OptimizationResult:
     """Solve MinA&FindS: the minimal square chip for deadline ``time_bound``.
     Everything past ``precedence`` is keyword-only.
@@ -494,10 +495,24 @@ def minimize_base(
     ``telemetry`` records the sweep under a ``solve`` span (one ``probe``
     child per OPP decision).
     """
-    runner = _runner or _ProbeRunner(
+    runner = _ProbeRunner(
         options=options, cache=cache, opp_solver=opp_solver,
         deadline=deadline, telemetry=telemetry,
     )
+    return _traced_minimize_base(
+        list(boxes), precedence, time_bound, max_side, runner
+    )
+
+
+def _traced_minimize_base(
+    boxes: List[Box],
+    precedence: Optional[DiGraph],
+    time_bound: int,
+    max_side: Optional[int],
+    runner: _ProbeRunner,
+) -> OptimizationResult:
+    """One BMP sweep under its ``solve`` span, on a box list the caller owns
+    (the Pareto front runs every latency step on its one copy)."""
     telemetry = runner.telemetry
     with telemetry.span(
         "solve", problem="bmp", boxes=len(boxes), time_bound=time_bound

@@ -172,30 +172,45 @@ class Placement:
                 f"for {inst.n} boxes"
             ]
         d = inst.dimensions
-        for i, pos in enumerate(self.positions):
+        sizes = inst.container.sizes
+        lows = self.positions
+        # Each box's end corner, computed once (zip stops at the shorter of
+        # position and widths, so a wrong-dimension position is reported
+        # below rather than raising here).
+        highs = [
+            tuple(p + w for p, w in zip(pos, box.widths))
+            for pos, box in zip(lows, inst.boxes)
+        ]
+        for i, pos in enumerate(lows):
             if len(pos) != d:
                 problems.append(f"box {i} position has wrong dimension {pos}")
                 continue
             for axis in range(d):
-                if pos[axis] < 0 or self.end(i, axis) > inst.container.sizes[axis]:
+                if pos[axis] < 0 or highs[i][axis] > sizes[axis]:
                     problems.append(
                         f"box {i} ({inst.boxes[i]}) leaves the container on "
-                        f"axis {axis}: [{pos[axis]}, {self.end(i, axis)}) "
-                        f"vs size {inst.container.sizes[axis]}"
+                        f"axis {axis}: [{pos[axis]}, {highs[i][axis]}) "
+                        f"vs size {sizes[axis]}"
                     )
+        axes = range(d)
         for i in range(inst.n):
+            low_i, high_i = lows[i], highs[i]
             for j in range(i + 1, inst.n):
-                if boxes_overlap(self, i, j):
+                low_j, high_j = lows[j], highs[j]
+                for a in axes:
+                    if low_i[a] >= high_j[a] or low_j[a] >= high_i[a]:
+                        break
+                else:
                     problems.append(f"boxes {i} and {j} overlap")
         closure = inst.closed_precedence()
         if closure is not None:
             axis = inst.time_axis
             for u, v in closure.arcs():
-                if self.end(u, axis) > self.start(v, axis):
+                if highs[u][axis] > lows[v][axis]:
                     problems.append(
                         f"precedence violated: box {u} ends at "
-                        f"{self.end(u, axis)} after box {v} starts at "
-                        f"{self.start(v, axis)}"
+                        f"{highs[u][axis]} after box {v} starts at "
+                        f"{lows[v][axis]}"
                     )
         return problems
 

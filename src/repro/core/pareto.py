@@ -12,7 +12,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..graphs.digraph import DiGraph
-from .bmp import DEGRADED, OPTIMAL, OptimizationResult, _ProbeRunner, minimize_base
+from .bmp import (
+    DEGRADED,
+    OPTIMAL,
+    OptimizationResult,
+    _ProbeRunner,
+    _traced_minimize_base,
+)
 from .boxes import Box
 from .deadline import Deadline
 from .opp import SolverOptions
@@ -129,9 +135,7 @@ def pareto_front(
     with telemetry.span(
         "solve", problem="pareto", boxes=len(boxes)
     ) as span:
-        front = _pareto_front(
-            boxes, precedence, max_time, options, cache, opp_solver, runner
-        )
+        front = _pareto_front(list(boxes), precedence, max_time, runner)
         span.set(points=len(front.points), steps=len(front.results))
     for result in front.results:
         if result.faults:
@@ -145,11 +149,10 @@ def _pareto_front(
     boxes: List[Box],
     precedence: Optional[DiGraph],
     max_time: Optional[int],
-    options: Optional[SolverOptions],
-    cache: Optional[object],
-    opp_solver: Optional[object],
     runner: _ProbeRunner,
 ) -> ParetoFront:
+    # Every latency step's probes and witnesses share ``boxes``, the
+    # front's one copy of the caller's list.
     front = ParetoFront()
     if not boxes:
         return front
@@ -157,14 +160,8 @@ def _pareto_front(
     t_sequential = sum(b.widths[-1] for b in boxes)
     if max_time is None:
         max_time = t_sequential
-    floor_result = minimize_base(
-        boxes,
-        precedence,
-        time_bound=max(t_sequential, max_time),
-        options=options,
-        cache=cache,
-        opp_solver=opp_solver,
-        _runner=runner,
+    floor_result = _traced_minimize_base(
+        boxes, precedence, max(t_sequential, max_time), None, runner
     )
     floor = floor_result.optimum if floor_result.status == OPTIMAL else None
 
@@ -173,15 +170,8 @@ def _pareto_front(
     anchors: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     previous_side: Optional[int] = None
     for t in range(t_min, max_time + 1):
-        result = minimize_base(
-            boxes,
-            precedence,
-            time_bound=t,
-            options=options,
-            max_side=previous_side,
-            cache=cache,
-            opp_solver=opp_solver,
-            _runner=runner,
+        result = _traced_minimize_base(
+            boxes, precedence, t, previous_side, runner
         )
         front.results.append(result)
         if result.placement is not None:

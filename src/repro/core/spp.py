@@ -60,7 +60,7 @@ def minimize_makespan(
     with telemetry.span(
         "solve", problem="spp", boxes=len(boxes), chip=list(chip)
     ) as span:
-        result = _minimize_makespan(boxes, precedence, chip, runner)
+        result = _minimize_makespan(list(boxes), precedence, chip, runner)
         span.set(
             status=result.status,
             optimum=result.optimum,

@@ -59,7 +59,7 @@ class OnlinePlacer:
             raise ValueError("horizon must be positive")
         self.chip = chip
         self.horizon = horizon
-        # Cells are indexed (x, y, t).
+        # Regions are indexed (x, y, t).
         self._grid = OccupancyGrid(
             Container((chip.width, chip.height, horizon))
         )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..core.boxes import PackingInstance, Placement
+from ..core.boxes import Container, PackingInstance, Placement
 from .grid import OccupancyGrid, candidate_coordinates, find_first_fit
 
 
@@ -99,7 +99,7 @@ def bottom_left_placement(
     ``sort_rule`` ∈ {"volume", "base_area", "duration", "input"} selects the
     placement order.  With precedence constraints present this heuristic
     simply delegates to :func:`list_schedule_placement` (which respects
-    them); the rule then only breaks ties within the topological order.
+    them) and ignores the rule, so every rule gives the same placement.
     """
     rules = {
         "volume": lambda v: -instance.boxes[v].volume,
@@ -117,14 +117,19 @@ def bottom_left_placement(
     return list_schedule_placement(instance, order)
 
 
+#: The precedence-free sort rules, in the order the heuristics try them.
+_SORT_RULES = ("volume", "base_area", "duration", "input")
+
+
 def heuristic_placement(instance: PackingInstance) -> Optional[Placement]:
     """Try all heuristics; return the first feasible placement found."""
-    for rule in ("volume", "base_area", "duration", "input"):
+    if instance.has_precedence():
+        # Every sort rule delegates to this one list schedule.
+        return list_schedule_placement(instance)
+    for rule in _SORT_RULES:
         placement = bottom_left_placement(instance, rule)
         if placement is not None:
             return placement
-    if instance.has_precedence():
-        return None
     # Last resort for precedence-free instances: the plain list scheduler.
     return list_schedule_placement(instance)
 
@@ -136,22 +141,19 @@ def heuristic_makespan(instance: PackingInstance) -> Optional[int]:
     (sequential sum of durations), so the heuristics can always stack boxes
     at the end; the resulting makespan is a valid upper bound for SPP.
     """
-    from ..core.boxes import Container, PackingInstance as PI
-
     time_axis = instance.time_axis
     horizon = max(1, sum(b.widths[time_axis] for b in instance.boxes))
     sizes = list(instance.container.sizes)
     sizes[time_axis] = horizon
-    relaxed = PI(
+    relaxed = PackingInstance(
         list(instance.boxes),
         Container(tuple(sizes)),
         instance.precedence,
         instance.time_axis,
     )
-    best: Optional[int] = None
-    for rule in ("volume", "base_area", "duration", "input"):
-        placement = bottom_left_placement(relaxed, rule)
-        if placement is not None:
-            span = placement.makespan()
-            best = span if best is None else min(best, span)
-    return best
+    if relaxed.has_precedence():
+        placements = [list_schedule_placement(relaxed)]
+    else:
+        placements = [bottom_left_placement(relaxed, rule) for rule in _SORT_RULES]
+    spans = [p.makespan() for p in placements if p is not None]
+    return min(spans) if spans else None

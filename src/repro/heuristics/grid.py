@@ -1,15 +1,21 @@
-"""Occupancy-grid geometry used by the placement heuristics.
+"""Occupancy geometry used by the placement heuristics.
 
-The heuristics (stage 2 of the paper's framework) work on an explicit cell
-grid: the container is an occupancy array over its cells, and candidate
+The heuristics (stage 2 of the paper's framework) keep the occupied part of
+the container as the list of placed regions, each a (low corner, high
+corner) pair: a box is free iff it lies inside the container and no placed
+region overlaps it on every axis.  The cost of a test grows with the number
+of placed boxes, not with their volume, which matters for the sweeps'
+relaxed horizons (Table 2's codec probe spans ~365k cells).  Candidate
 anchors are generated from the corners of already-placed boxes — the
-classic bottom-left family.  The cells live in one flat ``bytearray`` with
-axis 0 contiguous, so a box region is a handful of axis-0 runs and each
-run is tested with a single ``bytearray.find``.
+classic bottom-left family.  Keeping modules as rectangles rather than
+cells is also how free-space managers for dynamic FPGA placement
+represent the chip.
 """
 
 from __future__ import annotations
 
+from itertools import product
+from operator import add, gt, lt
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.boxes import Box, Container
@@ -18,69 +24,70 @@ Coordinate = Tuple[int, ...]
 
 
 class OccupancyGrid:
-    """A d-dimensional occupancy grid over the container cells."""
+    """The occupied regions of a d-dimensional container."""
 
     def __init__(self, container: Container) -> None:
         self.container = container
         self.sizes = container.sizes
-        self._strides: List[int] = []
-        cells = 1
-        for size in self.sizes:
-            self._strides.append(cells)
-            cells *= size
-        #: One byte per cell, 1 = occupied; cell ``c`` sits at offset
-        #: ``sum(c[axis] * stride[axis])`` with axis 0 contiguous.
-        self.cells = bytearray(cells)
+        #: Placed regions as (low corner, high corner) pairs, high exclusive.
+        self._regions: List[Tuple[Coordinate, Coordinate]] = []
 
-    def _runs(
-        self, position: Coordinate, widths: Sequence[int]
-    ) -> List[int]:
-        """Start offsets of the axis-0 runs that make up a region."""
-        strides = self._strides
-        starts = [sum(p * s for p, s in zip(position, strides))]
-        for axis in range(1, len(strides)):
-            step = strides[axis]
-            span = widths[axis] * step
-            starts = [s + k for s in starts for k in range(0, span, step)]
-        return starts
+    def _high(
+        self, position: Sequence[int], widths: Sequence[int]
+    ) -> Optional[Coordinate]:
+        """The region's high corner, or ``None`` if it leaves the container."""
+        high = tuple(map(add, position, widths))
+        if min(position) < 0 or any(map(gt, high, self.sizes)):
+            return None
+        return high
 
-    def _inside(self, position: Coordinate, widths: Sequence[int]) -> bool:
-        for axis, size in enumerate(self.sizes):
-            if position[axis] < 0 or position[axis] + widths[axis] > size:
+    def _free(self, position: Sequence[int], high: Coordinate) -> bool:
+        """No placed region overlaps ``[position, high)`` on every axis."""
+        for low, top in self._regions:
+            if all(map(lt, position, top)) and all(map(lt, low, high)):
                 return False
         return True
 
-    def fits(self, position: Coordinate, widths: Sequence[int]) -> bool:
+    def fits(self, position: Sequence[int], widths: Sequence[int]) -> bool:
         """Inside the container and fully free?"""
-        if not self._inside(position, widths):
-            return False
-        find = self.cells.find
-        width = widths[0]
-        for start in self._runs(position, widths):
-            if find(1, start, start + width) != -1:
-                return False
-        return True
+        high = self._high(position, widths)
+        return high is not None and self._free(position, high)
 
-    def place(self, position: Coordinate, widths: Sequence[int]) -> None:
-        if not self.fits(position, widths):
+    def place(self, position: Sequence[int], widths: Sequence[int]) -> None:
+        high = self._high(position, widths)
+        if high is None or not self._free(position, high):
             raise ValueError(
                 f"cells at {position} are occupied or outside the container"
             )
-        self._fill(position, widths, 1)
+        self._regions.append((tuple(position), high))
 
-    def remove(self, position: Coordinate, widths: Sequence[int]) -> None:
-        if not self._inside(position, widths):
-            raise ValueError(f"region at {position} leaves the container")
-        self._fill(position, widths, 0)
+    def remove(self, position: Sequence[int], widths: Sequence[int]) -> None:
+        """Free a region placed earlier with the same position and widths."""
+        try:
+            self._regions.remove(
+                (tuple(position), tuple(map(add, position, widths)))
+            )
+        except ValueError:
+            raise ValueError(
+                f"no region of widths {tuple(widths)} was placed at {position}"
+            ) from None
 
-    def _fill(
-        self, position: Coordinate, widths: Sequence[int], value: int
-    ) -> None:
-        width = widths[0]
-        run = bytes([value]) * width
-        cells = self.cells
-        for start in self._runs(position, widths):
-            cells[start : start + width] = run
+    @property
+    def cells(self) -> bytes:
+        """The occupancy as one byte per cell (1 = occupied), cell ``c`` at
+        offset ``sum(c[axis] * stride[axis])`` with axis 0 contiguous."""
+        strides = []
+        volume = 1
+        for size in self.sizes:
+            strides.append(volume)
+            volume *= size
+        cells = bytearray(volume)
+        for low, high in self._regions:
+            run = b"\x01" * (high[0] - low[0])
+            for rest in product(*map(range, low[1:], high[1:])):
+                start = low[0] + sum(c * s for c, s in zip(rest, strides[1:]))
+                cells[start : start + len(run)] = run
+        return bytes(cells)
 
 
 def candidate_coordinates(
@@ -124,18 +131,29 @@ def find_first_fit(
         if minimum[axis] not in filtered[axis]:
             filtered[axis].insert(0, minimum[axis])
 
-    def scan(depth: int, position: List[int]) -> Optional[Coordinate]:
+    widths = box.widths
+    position = [0] * d
+
+    # ``grid.fits`` on every full anchor, done incrementally: each level
+    # keeps only the placed regions that still overlap on the axes fixed
+    # so far, and an anchor is free when none is left at the last level.
+    def scan(depth: int, regions: List) -> Optional[Coordinate]:
         if depth == d:
-            pos = tuple(position)
-            return pos if grid.fits(pos, box.widths) else None
+            return None if regions else tuple(position)
         axis = axis_order[depth]
+        width = widths[axis]
+        limit = grid.sizes[axis] - width
         for value in filtered[axis]:
-            if value + box.widths[axis] > grid.sizes[axis]:
+            if value < 0 or value > limit:
                 continue
+            end = value + width
             position[axis] = value
-            result = scan(depth + 1, position)
+            result = scan(
+                depth + 1,
+                [r for r in regions if r[0][axis] < end and value < r[1][axis]],
+            )
             if result is not None:
                 return result
         return None
 
-    return scan(0, [0] * d)
+    return scan(0, grid._regions)

@@ -184,3 +184,81 @@ class TestHeuristicMakespan:
         )
         assert exact.status == "optimal"
         assert heuristic >= exact.optimum
+
+
+class TestPrecedenceScheduleRunsOnce:
+    """With precedence every sort rule delegates to the same list schedule,
+    so the heuristics run it once instead of once per rule."""
+
+    @staticmethod
+    def _count_schedules(monkeypatch):
+        from repro.heuristics import greedy
+
+        calls = []
+        real = greedy.list_schedule_placement
+
+        def counting(instance, order=None):
+            calls.append(order)
+            return real(instance, order)
+
+        monkeypatch.setattr(greedy, "list_schedule_placement", counting)
+        return calls
+
+    @staticmethod
+    def _positions(placement):
+        return None if placement is None else placement.positions
+
+    def test_failing_schedule_runs_once(self, monkeypatch):
+        inst = make_instance(
+            [(2, 2, 2)] * 3, (2, 2, 5), precedence_arcs=[(0, 1), (1, 2)]
+        )
+        per_rule = [
+            bottom_left_placement(inst, rule)
+            for rule in ("volume", "base_area", "duration", "input")
+        ]
+        calls = self._count_schedules(monkeypatch)
+        assert heuristic_placement(inst) is None
+        assert calls == [None]
+        assert per_rule == [None] * 4
+
+    def test_succeeding_schedule_matches_every_rule(self, monkeypatch):
+        inst = make_instance(
+            [(2, 1, 2), (1, 2, 1), (2, 2, 1), (1, 1, 3)], (2, 2, 6),
+            precedence_arcs=[(0, 2), (1, 3)],
+        )
+        per_rule = [
+            self._positions(bottom_left_placement(inst, rule))
+            for rule in ("volume", "base_area", "duration", "input")
+        ]
+        calls = self._count_schedules(monkeypatch)
+        placement = heuristic_placement(inst)
+        assert calls == [None]
+        assert per_rule[0] is not None
+        assert per_rule == [placement.positions] * 4
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_makespan_schedules_once(self, monkeypatch, seed):
+        from repro.core.boxes import Container, PackingInstance
+
+        inst, _ = random_feasible_instance(
+            random.Random(seed), (4, 4, 4), 6, precedence_density=0.5
+        )
+        assert inst.has_precedence()
+        sizes = list(inst.container.sizes)
+        sizes[inst.time_axis] = sum(b.widths[inst.time_axis] for b in inst.boxes)
+        relaxed = PackingInstance(
+            list(inst.boxes), Container(tuple(sizes)), inst.precedence
+        )
+        spans = [
+            bottom_left_placement(relaxed, rule).makespan()
+            for rule in ("volume", "base_area", "duration", "input")
+        ]
+        calls = self._count_schedules(monkeypatch)
+        assert heuristic_makespan(inst) == min(spans)
+        assert calls == [None]
+
+    def test_precedence_free_tries_every_rule(self, monkeypatch):
+        inst = make_instance([(2, 2, 1)] * 5, (2, 2, 4))
+        calls = self._count_schedules(monkeypatch)
+        heuristic_makespan(inst)
+        assert len(calls) == 4 and None not in calls
