@@ -48,7 +48,7 @@ from repro.instances import codec_task_graph, de_task_graph
 from repro.instances.de import TABLE_1
 from repro.instances.random_instances import random_instance
 
-SEARCH_ONLY = dict(use_bounds=False, use_heuristics=False, use_annealing=False)
+SEARCH_ONLY = dict(use_bounds=False, use_heuristics=False)
 
 
 def _time_solve(instance, options, repeats):

@@ -70,13 +70,6 @@ from .edgestate import (
     STATE_NAMES,
 )
 
-try:  # Python >= 3.10
-    _popcount = int.bit_count  # type: ignore[attr-defined]
-except AttributeError:  # pragma: no cover - exercised on 3.9 CI only
-    def _popcount(x: int) -> int:
-        return bin(x).count("1")
-
-
 def _weight_luts(weights: List[int]) -> List[List[int]]:
     """Per-byte weight tables: ``lut[j][b]`` sums the byte-``j`` bits of ``b``.
 
@@ -515,7 +508,7 @@ class BitmaskEdgeStateModel(EdgeStateModel):
         """
         comp, cmpb = self._comp[axis], self._cmpb[axis]
         shared = (comp[u] | cmpb[u]) & (comp[v] | cmpb[v])
-        if _popcount(shared) < 3:
+        if shared.bit_count() < 3:
             return
         cu, cv = cmpb[u], cmpb[v]
         if cu & (1 << v):

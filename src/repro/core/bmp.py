@@ -215,7 +215,7 @@ def _mark_degraded(result, runner: _ProbeRunner, gap: Optional[int] = None) -> b
     return True
 
 
-@dataclass
+@dataclass(slots=True)
 class OptimizationResult:
     """Outcome of a BMP/SPP run.
 

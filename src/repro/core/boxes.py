@@ -56,7 +56,7 @@ class Box:
         return f"{label}({'x'.join(map(str, self.widths))})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Container:
     """The rectangular container (chip area × allowed time)."""
 
@@ -84,7 +84,7 @@ class Container:
         return "x".join(map(str, self.sizes))
 
 
-@dataclass
+@dataclass(slots=True)
 class PackingInstance:
     """An orthogonal packing instance, optionally with precedence constraints.
 
@@ -137,7 +137,7 @@ class PackingInstance:
         return [b.widths[axis] for b in self.boxes]
 
 
-@dataclass
+@dataclass(slots=True)
 class Placement:
     """Anchor positions for every box of an instance."""
 

@@ -9,6 +9,11 @@ three-stage framework:
 2. **heuristics** — fast feasibility proofs (:mod:`repro.heuristics`);
 3. **branch-and-bound over packing classes** (:mod:`repro.core.search`).
 
+A search still undecided after :data:`repro.core.search.RESCUE_NODES` nodes
+gets stage 2 once more with more effort (*stage 2b*): seeded random
+precedence-consistent orders through the same list schedule, then simulated
+annealing.  If that fails the search continues on the same tree.
+
 Every SAT answer carries a concrete placement validated by geometry alone;
 UNSAT answers carry the proving bound's certificate or come from the
 exhaustive search.
@@ -19,7 +24,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..telemetry import coerce as _coerce_telemetry
 from .kernels import resolve as resolve_kernel
@@ -40,10 +45,19 @@ SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
 
+#: Stage 2b: how many seeded random orders are decoded before annealing,
+#: and the seed of both.  More orders settled no more ``search_pool``
+#: instances (32 orders were tried).
+RESCUE_ORDERS = 16
+RESCUE_SEED = 0
+
 
 @dataclass
 class SolverOptions:
     """Configuration of the three solver stages (all ablation-friendly).
+
+    ``use_heuristics`` switches stage 2 and stage 2b (inside the search, see
+    the module docstring) on or off together.
 
     ``fault_plan`` is a :class:`repro.parallel.faults.FaultPlan` whose seeded
     injection points fire during the solve (chaos testing only); when it is
@@ -63,8 +77,6 @@ class SolverOptions:
 
     use_bounds: bool = True
     use_heuristics: bool = True
-    use_annealing: bool = False
-    annealing_seed: int = 0
     propagation: PropagationOptions = field(default_factory=PropagationOptions)
     branching: BranchingOptions = field(default_factory=BranchingOptions)
     node_limit: Optional[int] = None
@@ -281,16 +293,17 @@ def solve_opp(
                 OPPResult(status=SAT, placement=placement, stage="heuristic")
             )
 
-    if options.use_annealing and resume_from is None:
-        from ..heuristics.annealing import AnnealingOptions, annealed_placement
+    # Stage 2b runs inside the search, and only where stage 2 ran.
+    stage = "search"
+    rescue = None
+    if options.use_heuristics and resume_from is None:
 
-        placement = annealed_placement(
-            instance, AnnealingOptions(seed=options.annealing_seed)
-        )
-        if placement is not None:
-            return finish(
-                OPPResult(status=SAT, placement=placement, stage="annealing")
-            )
+        def rescue(stop: Callable[[], bool]) -> Optional[Placement]:
+            nonlocal stage
+            placement, settled_by = _stage_2b(instance, stop)
+            if placement is not None:
+                stage = settled_by
+            return placement
 
     with telemetry.span(
         "search", resumed=resume_from is not None, kernel=options.kernel
@@ -307,6 +320,7 @@ def solve_opp(
             fault_plan=_active_fault_plan(options),
             telemetry=telemetry if telemetry.enabled else None,
             kernel=options.kernel,
+            _rescue=rescue,
         )
         status, placement = solver.solve()
         span.set(
@@ -321,5 +335,27 @@ def solve_opp(
             stats=solver.stats,
             faults=solver.faults,
             checkpoint=solver.checkpoint,
+            stage=stage,
         )
     )
+
+
+def _stage_2b(
+    instance: PackingInstance, stop: Callable[[], bool]
+) -> Tuple[Optional[Placement], str]:
+    """Stage 2 with more effort, for a search that reached
+    :data:`repro.core.search.RESCUE_NODES`: :data:`RESCUE_ORDERS` seeded
+    orders, then annealing.  Returns ``(placement, stage)``, placement
+    ``None`` on a miss.  Both steps poll ``stop`` between decodes."""
+    from ..heuristics.annealing import AnnealingOptions, annealed_placement
+    from ..heuristics.greedy import seeded_order_placement
+
+    placement = seeded_order_placement(
+        instance, RESCUE_ORDERS, RESCUE_SEED, stop
+    )
+    if placement is not None:
+        return placement, "heuristic"
+    placement = annealed_placement(
+        instance, AnnealingOptions(seed=RESCUE_SEED), stop
+    )
+    return placement, "annealing"

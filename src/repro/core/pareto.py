@@ -25,7 +25,7 @@ from .opp import SolverOptions
 from .search import FaultRecord
 
 
-@dataclass
+@dataclass(slots=True)
 class ParetoPoint:
     """One point of the trade-off curve."""
 

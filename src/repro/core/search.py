@@ -42,6 +42,11 @@ from .edgestate import (
 from .placement import extract_placement, extract_placement_masks
 
 
+#: The node count at which a search given a stage-2b rescue runs it, once
+#: (see :func:`repro.core.opp.solve_opp`).  A multiple of the 64-node poll,
+#: and far below the service's 20,000-node brownout cap.
+RESCUE_NODES = 2048
+
 #: A branching cursor: ``(time, spatial, overlap)`` indices into the branch
 #: orders (see :meth:`BranchAndBound._pick_branch`).  The zero cursor is
 #: valid at every node.
@@ -384,6 +389,9 @@ class BranchAndBound:
         telemetry: Optional[Any] = None,
         kernel: str = "bitmask",
         subtree: Optional[List[Tuple[int, int, int, int]]] = None,
+        _rescue: Optional[
+            Callable[[Callable[[], bool]], Optional[Placement]]
+        ] = None,
     ) -> None:
         """``pre_states`` / ``pre_arcs`` fix edge states / orientations before
         the search starts — the FixedS problems fix the entire time axis this
@@ -422,7 +430,13 @@ class BranchAndBound:
         Unlike ``pre_states``, a subtree prefix keeps symmetry breaking
         on, so the explored subtree is exactly the serial search's
         subtree.  Prefix-replay conflicts and propagations are *excluded*
-        from this run's stats (the splitter already counted them)."""
+        from this run's stats (the splitter already counted them).
+
+        ``_rescue`` is private to :func:`repro.core.opp.solve_opp`: called
+        once, with the search's stop predicate (time limit, deadline,
+        ``should_stop``), when the search enters node :data:`RESCUE_NODES`.
+        A placement it returns settles the search as SAT at that node; on
+        ``None`` the search continues untouched."""
         self.instance = instance
         self.telemetry = telemetry if telemetry is not None else NO_TELEMETRY
         self.kernel = kernel = resolve_kernel(kernel)
@@ -446,6 +460,7 @@ class BranchAndBound:
         #: one) from "the request's end-to-end deadline is near" (degrade).
         self.deadline = deadline
         self.should_stop = should_stop
+        self._rescue = _rescue
         self.fault_plan = fault_plan
         self.stats = SearchStats()
         self.faults: List[FaultRecord] = []
@@ -774,6 +789,12 @@ class BranchAndBound:
         if self.fault_plan is not None:
             self.fault_plan.fire_node(self.stats.nodes)
         if self.stats.nodes % 64 == 0:
+            if self._rescue is not None and self.stats.nodes == RESCUE_NODES:
+                # The rescue polls the same clocks between its decodes; the
+                # checks below then end a search it stopped for them.
+                placement = self._rescue(self._stop_requested)
+                if placement is not None:
+                    return placement
             if (
                 self._deadline is not None
                 and time.monotonic() > self._deadline
@@ -839,6 +860,13 @@ class BranchAndBound:
                 return placement
             self.model.rollback(mark)
         return None
+
+    def _stop_requested(self) -> bool:
+        """Whether the time limit, the deadline or ``should_stop`` has
+        asked this search to stop (what the node poll checks)."""
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            return True
+        return self.should_stop is not None and self.should_stop()
 
     def _value_order(self, axis: int, u: int, v: int) -> Tuple[int, int]:
         if self.branching.strategy == "static":

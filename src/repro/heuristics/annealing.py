@@ -4,9 +4,13 @@ The greedy list heuristics decode a fixed priority order; annealing searches
 the space of (precedence-consistent) orders, decoding each candidate with
 the same bottom-left placer and annealing on the resulting makespan.
 Useful when the greedy rules' orders are unlucky: a better order often
-turns a would-be tree search into an instant SAT.
+turns a would-be tree search into an instant SAT.  ``solve_opp`` runs it as
+the last step of stage 2b, inside a search that has passed 2,048 nodes
+(see :mod:`repro.core.opp`).
 
-Deterministic given the seed; no wall-clock dependence.
+Deterministic given the seed; the clock enters only through an optional
+``should_stop`` predicate, which can end the search early but never changes
+what it visits before then.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..core.boxes import Container, PackingInstance, Placement
 from .greedy import _priority_order, list_schedule_placement
@@ -50,11 +54,14 @@ def _relaxed(instance: PackingInstance) -> PackingInstance:
 
 
 def _precedence_consistent_swap(
-    order: List[int], i: int, closure
+    order: List[int], i: int, precedence
 ) -> Optional[List[int]]:
-    """Swap positions i and i+1 if no dependency forbids it."""
+    """Swap positions i and i+1 if no dependency forbids it.
+
+    A direct arc is the only one that can: in a precedence-consistent
+    order, a path u -> w -> v puts w between u and v."""
     u, v = order[i], order[i + 1]
-    if closure is not None and v in closure.succ[u]:
+    if precedence is not None and v in precedence.succ[u]:
         return None
     swapped = list(order)
     swapped[i], swapped[i + 1] = v, u
@@ -62,18 +69,21 @@ def _precedence_consistent_swap(
 
 
 def annealed_placement(
-    instance: PackingInstance, options: Optional[AnnealingOptions] = None
+    instance: PackingInstance,
+    options: Optional[AnnealingOptions] = None,
+    should_stop: Optional[Callable[[], bool]] = None,
 ) -> Optional[Placement]:
     """Search placement orders by simulated annealing; return a feasible
     placement of the *original* instance or ``None``.
 
     Accepts as soon as a decoded placement fits the instance's own time
-    bound (it is then feasible verbatim).
+    bound (it is then feasible verbatim).  ``should_stop`` is polled before
+    every decode; a ``True`` return gives up with ``None``.
     """
     options = options or AnnealingOptions()
     rng = random.Random(options.seed)
     relaxed = _relaxed(instance)
-    closure = instance.closed_precedence()
+    precedence = instance.precedence
     time_limit = instance.container.sizes[instance.time_axis]
 
     def decode(order: List[int]) -> Tuple[Optional[Placement], float]:
@@ -82,6 +92,8 @@ def annealed_placement(
             return None, math.inf
         return placement, float(placement.makespan())
 
+    if should_stop is not None and should_stop():
+        return None
     current = _priority_order(instance)
     current_placement, current_cost = decode(current)
     best_placement, best_cost = current_placement, current_cost
@@ -92,8 +104,10 @@ def annealed_placement(
             break
         if len(current) < 2:
             break
+        if should_stop is not None and should_stop():
+            return None
         i = rng.randrange(len(current) - 1)
-        candidate = _precedence_consistent_swap(current, i, closure)
+        candidate = _precedence_consistent_swap(current, i, precedence)
         if candidate is None:
             continue
         placement, cost = decode(candidate)
@@ -121,7 +135,7 @@ def annealed_makespan(
     options = options or AnnealingOptions()
     rng = random.Random(options.seed)
     relaxed = _relaxed(instance)
-    closure = instance.closed_precedence()
+    precedence = instance.precedence
 
     def decode(order: List[int]) -> float:
         placement = list_schedule_placement(relaxed, order)
@@ -135,7 +149,7 @@ def annealed_makespan(
         if len(current) < 2:
             break
         i = rng.randrange(len(current) - 1)
-        candidate = _precedence_consistent_swap(current, i, closure)
+        candidate = _precedence_consistent_swap(current, i, precedence)
         if candidate is None:
             continue
         cost = decode(candidate)

@@ -3,18 +3,21 @@
 "In case of failure [of the lower bounds], try to find a feasible packing
 by using fast heuristics."  A heuristic success settles the OPP instance as
 SAT without any tree search; a failure is silent (the branch-and-bound
-decides).  Two list-based heuristics are provided:
+decides).  Three list-based heuristics are provided:
 
 * :func:`list_schedule_placement` — precedence-aware: tasks are released by
   their predecessors' completion and packed bottom-left at the earliest
   feasible time (also the workhorse behind heuristic makespan upper bounds);
 * :func:`bottom_left_placement` — precedence-free bottom-left-back packing
-  in lexicographic (t, y, x) order with several sort rules.
+  in lexicographic (t, y, x) order with several sort rules;
+* :func:`seeded_order_placement` — the list schedule over seeded random
+  precedence-consistent orders (the first step of stage 2b, see
+  :mod:`repro.core.opp`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..core.boxes import Container, PackingInstance, Placement
 from .grid import OccupancyGrid, candidate_coordinates, find_first_fit
@@ -58,7 +61,9 @@ def list_schedule_placement(
     """
     if order is None:
         order = _priority_order(instance)
-    closure = instance.closed_precedence()
+    # Direct predecessors suffice: each one ends before its own successors
+    # start, so the latest direct one bounds every transitive one.
+    precedence = instance.precedence
     time_axis = instance.time_axis
     grid = OccupancyGrid(instance.container)
     placed: List = []
@@ -70,9 +75,9 @@ def list_schedule_placement(
     for v in order:
         box = instance.boxes[v]
         minimum = [0] * instance.dimensions
-        if closure is not None:
+        if precedence is not None:
             release = 0
-            for p in closure.pred[v]:
+            for p in precedence.pred[v]:
                 if positions[p] is None:
                     return None  # order violated precedence; treat as failure
                 release = max(
@@ -89,6 +94,46 @@ def list_schedule_placement(
         positions[v] = spot
     placement = Placement(instance, [tuple(p) for p in positions])
     return placement if placement.is_feasible() else None
+
+
+def seeded_order_placement(
+    instance: PackingInstance,
+    orders: int,
+    seed: int,
+    should_stop: Optional[Callable[[], bool]] = None,
+) -> Optional[Placement]:
+    """Decode up to ``orders`` seeded random precedence-consistent orders
+    with :func:`list_schedule_placement`; return the first feasible one.
+
+    Each order is a topological order that emits a uniformly chosen ready
+    task at every step.  ``should_stop`` is polled before every decode, so
+    a stop request costs at most the decode already running.
+    """
+    import random
+
+    rng = random.Random(seed)
+    precedence = instance.precedence
+    for _ in range(orders):
+        if should_stop is not None and should_stop():
+            return None
+        if precedence is None:
+            order = list(range(instance.n))
+            rng.shuffle(order)
+        else:
+            indegree = [len(precedence.pred[v]) for v in range(instance.n)]
+            ready = [v for v in range(instance.n) if indegree[v] == 0]
+            order = []
+            while ready:
+                v = ready.pop(rng.randrange(len(ready)))
+                order.append(v)
+                for w in precedence.succ[v]:
+                    indegree[w] -= 1
+                    if indegree[w] == 0:
+                        ready.append(w)
+        placement = list_schedule_placement(instance, order)
+        if placement is not None:
+            return placement
+    return None
 
 
 def bottom_left_placement(

@@ -75,7 +75,7 @@ class PortfolioConfig:
 
 def default_portfolio() -> List[PortfolioConfig]:
     """Diverse exact configurations (branching rules, value orders, stage
-    mixes, heuristic seeds).  The first entry is the sequential default, so
+    mixes).  The first entry is the sequential default, so
     a one-worker portfolio degenerates to ``solve_opp``."""
     return [
         PortfolioConfig("guided", SolverOptions()),
@@ -105,10 +105,6 @@ def default_portfolio() -> List[PortfolioConfig]:
                     time_axis_boost=1.0,
                 )
             ),
-        ),
-        PortfolioConfig(
-            "annealing",
-            SolverOptions(use_annealing=True, annealing_seed=1),
         ),
     ]
 

@@ -177,11 +177,17 @@ class TestDeadlineBudget:
     def test_exhausted_budget_reports_reason(self):
         boxes = [Box(tuple(w)) for w in SEARCH_HEAVY]
         opts = SolverOptions(time_limit=0.01, **SEARCH_ONLY)
+        # Expire the deadline before the sweep starts: a 1 ms deadline
+        # that is still running can outlive the search's 64-node poll and
+        # let a probe find SAT (a degraded answer instead of unknown).
+        deadline = Deadline.after(0.001, margin=0)
+        while not deadline.expired():
+            time.sleep(0.001)
         result = minimize_base(
             boxes,
             time_bound=6,
             options=opts,
-            deadline=Deadline.after(0.001, margin=0),
+            deadline=deadline,
         )
         assert result.status == "unknown"
         assert result.probes  # at least one (budget-exhausted) probe record

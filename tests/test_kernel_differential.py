@@ -44,7 +44,7 @@ from repro.instances.random_instances import (
     random_instance,
 )
 
-SEARCH_ONLY = dict(use_bounds=False, use_heuristics=False, use_annealing=False)
+SEARCH_ONLY = dict(use_bounds=False, use_heuristics=False)
 
 
 def _options(kernel, **overrides):

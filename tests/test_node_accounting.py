@@ -41,7 +41,7 @@ from repro.telemetry import Telemetry
 #: exactly like the kernel it names.
 KERNELS = available() + ("vector",)
 
-SEARCH_ONLY = dict(use_bounds=False, use_heuristics=False, use_annealing=False)
+SEARCH_ONLY = dict(use_bounds=False, use_heuristics=False)
 
 
 def _searchy_instance():

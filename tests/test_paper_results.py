@@ -133,7 +133,7 @@ class TestSolverAgreementOnPaperInstances:
             assert outcome.schedule.is_feasible()
 
 
-SEARCH_ONLY = dict(use_bounds=False, use_heuristics=False, use_annealing=False)
+SEARCH_ONLY = dict(use_bounds=False, use_heuristics=False)
 
 
 class TestGoldenSearchTrees:

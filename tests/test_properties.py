@@ -13,7 +13,6 @@ These are the semantic contracts differential testing relies on:
 """
 
 import random
-from dataclasses import replace
 
 from repro.core.boxes import Box, Container, PackingInstance
 from repro.core.opp import SolverOptions, solve_opp
@@ -94,12 +93,17 @@ def test_fixed_seed_is_deterministic():
 
 
 def test_annealing_seed_is_deterministic():
-    rng = random.Random(SEED + 3)
-    instance, _ = random_feasible_instance(rng, container=(5, 5, 5), num_boxes=6)
-    options = SolverOptions(use_annealing=True, annealing_seed=7)
+    """Stage 2b seeds its orders and its annealing with a module constant:
+    a search it settles (here the 12th search_pool instance, a budget exit
+    without it) gives the same witness on every run."""
+    rng = random.Random(2001)
+    for _ in range(12):
+        instance, _ = random_feasible_instance(rng, (6, 6, 6), 12, 0.3)
+    options = SolverOptions(node_limit=20000)
     first = solve_opp(instance, options=options)
     second = solve_opp(instance, options=options)
     assert first.status == second.status == "sat"
+    assert first.stage == second.stage == "annealing"
     assert first.placement.positions == second.placement.positions
 
 
@@ -178,7 +182,7 @@ def test_options_do_not_change_verdicts():
         SolverOptions(),
         SolverOptions(use_heuristics=False),
         SolverOptions(use_bounds=False),
-        replace(SolverOptions(), use_annealing=True, annealing_seed=3),
+        SolverOptions(use_bounds=False, use_heuristics=False),
     ]
     for _ in range(40):
         instance = random_mixed_instance(rng, max_container=4, max_boxes=4)
